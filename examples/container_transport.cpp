@@ -34,7 +34,7 @@ int main() {
   NodeId unload = b.Activity("unload vessel", {.server = harbor});
   b.Writes(unload, damaged);
   b.Conditional(damaged, {
-      [&](SchemaBuilder& s) { /* intact: no extra step */ },
+      [&](SchemaBuilder&) { /* intact: no extra step */ },
       [&](SchemaBuilder& s) {
         s.Activity("record damage", {.server = harbor});
       },

@@ -89,14 +89,14 @@ struct ClusterOptions {
   // Per-shard AdeptSystem defaults (see AdeptOptions).
   StorageStrategy default_strategy = StorageStrategy::kOverlay;
   // Base durability paths; shard k appends ".shard<k>". Empty disables.
-  std::string wal_path;
-  std::string snapshot_path;
+  std::string wal_path{};
+  std::string snapshot_path{};
   // Durability level of each shard's group-commit WAL writer (see SyncMode
   // in storage/wal.h).
   SyncMode sync = SyncMode::kFlush;
   // Seed/policy of the shard-local drivers behind BatchOp::DriveStep (shard
   // k runs with seed `driver.seed + k`).
-  DriverOptions driver;
+  DriverOptions driver{};
   // Worker pool size; 0 sizes it to min(shards, hardware concurrency) —
   // more threads than cores only adds context switching, and the caller
   // thread already executes one shard group of every fan-out itself.

@@ -18,6 +18,26 @@ Status ProcessSchema::CheckMutable() const {
   return Status::OK();
 }
 
+void ProcessSchema::Link(Adjacency& adjacency, NodeId node, EdgeId edge) {
+  std::vector<EdgeId>& list = adjacency[node.value()];
+  list.insert(std::upper_bound(list.begin(), list.end(), edge), edge);
+}
+
+void ProcessSchema::Unlink(Adjacency& adjacency, NodeId node, EdgeId edge) {
+  auto it = adjacency.find(node.value());
+  if (it == adjacency.end()) return;
+  std::vector<EdgeId>& list = it->second;
+  auto pos = std::lower_bound(list.begin(), list.end(), edge);
+  if (pos != list.end() && *pos == edge) list.erase(pos);
+  if (list.empty()) adjacency.erase(it);
+}
+
+void ProcessSchema::InsertEdge(const Edge& edge) {
+  edges_.emplace(edge.id.value(), edge);
+  Link(out_edges_, edge.src, edge.id);
+  Link(in_edges_, edge.dst, edge.id);
+}
+
 Result<NodeId> ProcessSchema::AddNode(Node node) {
   ADEPT_RETURN_IF_ERROR(CheckMutable());
   node.id = NodeId(next_node_id_++);
@@ -49,18 +69,18 @@ Result<EdgeId> ProcessSchema::AddEdge(NodeId src, NodeId dst, EdgeType type,
   e.dst = dst;
   e.type = type;
   e.branch_value = branch_value;
-  uint32_t key = e.id.value();
-  edges_.emplace(key, e);
-  return EdgeId(key);
+  InsertEdge(e);
+  return e.id;
 }
 
 Status ProcessSchema::AddEdgeWithId(Edge edge) {
   ADEPT_RETURN_IF_ERROR(CheckMutable());
   if (!edge.id.valid()) return Status::InvalidArgument("edge id required");
   uint32_t key = edge.id.value();
-  if (!edges_.emplace(key, edge).second) {
+  if (edges_.count(key) > 0) {
     return Status::AlreadyExists(StrFormat("edge id %u in use", key));
   }
+  InsertEdge(edge);
   next_edge_id_ = std::max(next_edge_id_, key + 1);
   return Status::OK();
 }
@@ -106,11 +126,18 @@ Status ProcessSchema::AddDataEdge(NodeId node, DataId data, AccessMode mode,
 Status ProcessSchema::RemoveNode(NodeId id) {
   ADEPT_RETURN_IF_ERROR(CheckMutable());
   if (nodes_.erase(id.value()) == 0) return Status::NotFound("no such node");
-  for (auto it = edges_.begin(); it != edges_.end();) {
-    if (it->second.src == id || it->second.dst == id) {
-      it = edges_.erase(it);
-    } else {
-      ++it;
+  for (Adjacency* own : {&out_edges_, &in_edges_}) {
+    auto it = own->find(id.value());
+    if (it == own->end()) continue;
+    std::vector<EdgeId> incident = std::move(it->second);
+    own->erase(it);
+    // A self-loop sits in both lists; the second visit finds it gone.
+    for (EdgeId edge : incident) {
+      auto e = edges_.find(edge.value());
+      if (e == edges_.end()) continue;
+      Unlink(out_edges_, e->second.src, edge);
+      Unlink(in_edges_, e->second.dst, edge);
+      edges_.erase(e);
     }
   }
   data_edges_.erase(
@@ -122,7 +149,11 @@ Status ProcessSchema::RemoveNode(NodeId id) {
 
 Status ProcessSchema::RemoveEdge(EdgeId id) {
   ADEPT_RETURN_IF_ERROR(CheckMutable());
-  if (edges_.erase(id.value()) == 0) return Status::NotFound("no such edge");
+  auto it = edges_.find(id.value());
+  if (it == edges_.end()) return Status::NotFound("no such edge");
+  Unlink(out_edges_, it->second.src, id);
+  Unlink(in_edges_, it->second.dst, id);
+  edges_.erase(it);
   return Status::OK();
 }
 
@@ -157,10 +188,12 @@ Node* ProcessSchema::MutableNode(NodeId id) {
   return it == nodes_.end() ? nullptr : &it->second;
 }
 
-Edge* ProcessSchema::MutableEdge(EdgeId id) {
-  if (frozen_) return nullptr;
+Status ProcessSchema::SetBranchValue(EdgeId id, int branch_value) {
+  ADEPT_RETURN_IF_ERROR(CheckMutable());
   auto it = edges_.find(id.value());
-  return it == edges_.end() ? nullptr : &it->second;
+  if (it == edges_.end()) return Status::NotFound("no such edge");
+  it->second.branch_value = branch_value;
+  return Status::OK();
 }
 
 void ProcessSchema::BumpCounters(uint32_t node, uint32_t edge, uint32_t data) {
@@ -192,17 +225,12 @@ Status ProcessSchema::Freeze() {
     return Status::VerificationFailed("missing start-flow or end-flow node");
   }
 
-  // Edge endpoints must be live; build adjacency ordered by edge id
-  // (map iteration is ascending, so pushes stay sorted).
-  out_edges_.clear();
-  in_edges_.clear();
+  // Edge endpoints must be live (the adjacency lists are already current).
   for (const auto& [_, e] : edges_) {
     if (FindNode(e.src) == nullptr || FindNode(e.dst) == nullptr) {
       return Status::VerificationFailed(
           StrFormat("edge %u has a dangling endpoint", e.id.value()));
     }
-    out_edges_[e.src.value()].push_back(e.id);
-    in_edges_[e.dst.value()].push_back(e.id);
   }
 
   node_data_edges_.clear();
@@ -245,6 +273,8 @@ std::shared_ptr<ProcessSchema> ProcessSchema::Clone() const {
   copy->edges_ = edges_;
   copy->data_ = data_;
   copy->data_edges_ = data_edges_;
+  copy->out_edges_ = out_edges_;
+  copy->in_edges_ = in_edges_;
   copy->next_node_id_ = next_node_id_;
   copy->next_edge_id_ = next_edge_id_;
   copy->next_data_id_ = next_data_id_;
@@ -302,28 +332,16 @@ void ProcessSchema::VisitData(
 
 void ProcessSchema::VisitOutEdges(
     NodeId node, const std::function<void(const Edge&)>& fn) const {
-  if (frozen_) {
-    auto it = out_edges_.find(node.value());
-    if (it == out_edges_.end()) return;
-    for (EdgeId id : it->second) fn(*FindEdge(id));
-    return;
-  }
-  for (const auto& [_, e] : edges_) {
-    if (e.src == node) fn(e);
-  }
+  auto it = out_edges_.find(node.value());
+  if (it == out_edges_.end()) return;
+  for (EdgeId id : it->second) fn(edges_.at(id.value()));
 }
 
 void ProcessSchema::VisitInEdges(
     NodeId node, const std::function<void(const Edge&)>& fn) const {
-  if (frozen_) {
-    auto it = in_edges_.find(node.value());
-    if (it == in_edges_.end()) return;
-    for (EdgeId id : it->second) fn(*FindEdge(id));
-    return;
-  }
-  for (const auto& [_, e] : edges_) {
-    if (e.dst == node) fn(e);
-  }
+  auto it = in_edges_.find(node.value());
+  if (it == in_edges_.end()) return;
+  for (EdgeId id : it->second) fn(edges_.at(id.value()));
 }
 
 void ProcessSchema::VisitDataEdges(

@@ -1,11 +1,15 @@
 // ProcessSchema: the concrete, owning representation of a WSM net.
 //
 // Lifecycle: a schema is built (or cloned) in *mutable* state, populated via
-// the Add*/Remove* primitives, then Freeze()d. Freezing builds adjacency
-// indexes, locates the unique start/end nodes, computes topological ranks,
-// and attempts to parse the block structure. After Freeze() the schema is
-// immutable and may be shared (shared_ptr<const ProcessSchema>) between the
-// repository, instances, and overlay views.
+// the Add*/Remove* primitives, then Freeze()d. The control/sync/loop
+// adjacency lists are maintained by every edge mutation in both states, so
+// graph lookups cost O(degree) even mid-transformation (change operations
+// parse the block structure of a mutable candidate). Freezing checks edge
+// endpoints, locates the unique start/end nodes, indexes data edges,
+// computes topological ranks, and attempts to parse the block structure.
+// After Freeze() the schema is immutable and may be shared
+// (shared_ptr<const ProcessSchema>) between the repository, instances, and
+// overlay views.
 //
 // Node/edge/data ids are *stable across versions*: Clone() preserves ids and
 // id counters, deleted ids are never reused. This is what lets the
@@ -64,16 +68,18 @@ class ProcessSchema final : public SchemaView {
   Status RemoveData(DataId id);
   Status RemoveDataEdge(NodeId node, DataId data, AccessMode mode);
 
-  // Mutable access to a live node/edge (attribute edits); nullptr if absent.
+  // Mutable access to a live node (attribute edits); nullptr if absent.
   Node* MutableNode(NodeId id);
-  Edge* MutableEdge(EdgeId id);
+  // Sets an edge's XOR selection code. Edges expose no mutable pointer:
+  // rewriting an endpoint in place would bypass the adjacency lists.
+  Status SetBranchValue(EdgeId id, int branch_value);
 
   void set_version(int version) { version_ = version; }
 
   // --- Freezing -------------------------------------------------------------
 
-  // Builds indexes and switches to immutable state. Fails (kVerificationFailed)
-  // only on malformed shapes that make indexes meaningless: dangling edge
+  // Switches to immutable state. Fails (kVerificationFailed) only on
+  // malformed shapes that make indexes meaningless: dangling edge
   // endpoints, missing/duplicate start or end node. Deeper properties
   // (block nesting, sync-edge rules, data flow) are the verifier's job; a
   // frozen schema may still be rejected by the verifier.
@@ -88,7 +94,7 @@ class ProcessSchema final : public SchemaView {
   const std::string& type_name() const override { return type_name_; }
   int version() const override { return version_; }
   // Frozen schemas return the cached unique start/end; mutable schemas scan
-  // (change operations consult the block structure mid-transformation).
+  // the nodes. Edge adjacency is O(degree) in both states.
   NodeId start_node() const override;
   NodeId end_node() const override;
   size_t node_count() const override { return nodes_.size(); }
@@ -133,7 +139,13 @@ class ProcessSchema final : public SchemaView {
   void BumpCounters(uint32_t node, uint32_t edge, uint32_t data);
 
  private:
+  using Adjacency = std::unordered_map<uint32_t, std::vector<EdgeId>>;
+
   Status CheckMutable() const;
+  // Edge id bookkeeping in the per-node lists (kept sorted by edge id).
+  static void Link(Adjacency& adjacency, NodeId node, EdgeId edge);
+  static void Unlink(Adjacency& adjacency, NodeId node, EdgeId edge);
+  void InsertEdge(const Edge& edge);
 
   std::string type_name_;
   int version_;
@@ -150,11 +162,14 @@ class ProcessSchema final : public SchemaView {
   uint32_t next_edge_id_ = 0;
   uint32_t next_data_id_ = 0;
 
+  // Maintained by every edge mutation; keyed by node id, each list sorted
+  // by edge id. A node without edges has no entry.
+  Adjacency out_edges_;
+  Adjacency in_edges_;
+
   // Built by Freeze().
   NodeId start_;
   NodeId end_;
-  std::unordered_map<uint32_t, std::vector<EdgeId>> out_edges_;  // by node id
-  std::unordered_map<uint32_t, std::vector<EdgeId>> in_edges_;   // by node id
   std::unordered_map<uint32_t, std::vector<size_t>> node_data_edges_;
   std::unordered_map<uint32_t, int> topo_rank_;
   bool topo_valid_ = false;

@@ -30,6 +30,10 @@ NodeId SchemaBuilder::AppendNode(Node node) {
   return *added;
 }
 
+NodeId SchemaBuilder::Activity(const std::string& name) {
+  return Activity(name, ActivityOptions{});
+}
+
 NodeId SchemaBuilder::Activity(const std::string& name,
                                const ActivityOptions& opts) {
   Node n;
@@ -114,8 +118,7 @@ SchemaBuilder::BlockIds SchemaBuilder::Conditional(
     tails.push_back(cursor_);
     schema_->VisitOutEdges(split_id, [&](const Edge& e) {
       if (std::find(before.begin(), before.end(), e.id) == before.end()) {
-        Edge* entry = schema_->MutableEdge(e.id);
-        if (entry != nullptr) entry->branch_value = static_cast<int>(i);
+        (void)schema_->SetBranchValue(e.id, static_cast<int>(i));
       }
     });
   }

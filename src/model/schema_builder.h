@@ -29,10 +29,12 @@ namespace adept {
 
 class SchemaBuilder {
  public:
+  // Every member has a default initializer, so designated initializers may
+  // name any subset ({.role = r}) without -Wmissing-field-initializers.
   struct ActivityOptions {
-    std::string activity_template;
-    RoleId role;
-    ServerId server;
+    std::string activity_template{};
+    RoleId role{};
+    ServerId server{};
   };
 
   struct BlockIds {
@@ -45,7 +47,10 @@ class SchemaBuilder {
   explicit SchemaBuilder(std::string type_name, int version = 1);
 
   // Appends an activity after the cursor and moves the cursor onto it.
-  NodeId Activity(const std::string& name, const ActivityOptions& opts = {});
+  // (An overload, not a `= {}` default: GCC cannot use the nested struct's
+  // member initializers before SchemaBuilder is complete.)
+  NodeId Activity(const std::string& name);
+  NodeId Activity(const std::string& name, const ActivityOptions& opts);
 
   // Declares a process data element.
   DataId Data(const std::string& name, DataType type);

@@ -183,15 +183,17 @@ void ReplicationPrimary::OnDurableBatch(const std::vector<WalFrame>& frames) {
       tail_bytes_ += frame.payload.size();
       tail_.push_back(frame);
     }
-    // The slowest ack across peers: evicting above it forces someone onto
-    // the WAL-file / snapshot catch-up path, which is what the eviction
-    // counter measures (a dead peer must not pin unbounded memory). With
-    // no peers nothing ever needs the tail, so nothing counts as evicted.
+    // The slowest ack across peers. Frames at or below it are needed by
+    // nobody and are dropped. Evicting above it forces someone onto the
+    // WAL-file / snapshot catch-up path, which is what the eviction counter
+    // measures (a dead peer must not pin unbounded memory). With no peers
+    // nothing ever needs the tail, so nothing counts as evicted.
     uint64_t min_acked = ~uint64_t{0};
     for (const auto& peer : peers_) {
       min_acked = std::min(min_acked, peer->acked_lsn);
     }
-    while (!tail_.empty() && (tail_.size() > options_.tail_buffer_frames ||
+    while (!tail_.empty() && (tail_.front().lsn <= min_acked ||
+                              tail_.size() > options_.tail_buffer_frames ||
                               tail_bytes_ > options_.tail_buffer_bytes)) {
       if (tail_.front().lsn > min_acked) ++tail_evictions_;
       tail_bytes_ -= tail_.front().payload.size();

@@ -122,10 +122,11 @@ struct ReplicationOptions {
   // Frames coalesced into one BATCH message.
   size_t max_batch_frames = 512;
   // In-memory tail retained for streaming before peers must fall back to
-  // reading the WAL file. Bounded twice: by frame count and by payload
-  // bytes — whichever trips first evicts from the front (a dead peer can
-  // no longer pin unbounded memory; it catches up from the WAL file or a
-  // snapshot reset instead; see tail_evictions in PrimaryStatus).
+  // reading the WAL file. Frames every peer has acked are dropped when the
+  // next durable batch arrives. Bounded twice: by frame count and by
+  // payload bytes — whichever trips first evicts from the front (a dead
+  // peer can no longer pin unbounded memory; it catches up from the WAL
+  // file or a snapshot reset instead; see tail_evictions in PrimaryStatus).
   size_t tail_buffer_frames = 8192;
   size_t tail_buffer_bytes = 32u << 20;  // 32 MiB
   // Idle-stream liveness probe interval and the health thresholds the

@@ -39,12 +39,12 @@ const char* TraceEventKindToString(TraceEventKind k);
 struct TraceEvent {
   int64_t sequence = 0;
   TraceEventKind kind = TraceEventKind::kInstanceStarted;
-  NodeId node;                     // subject node (if any)
-  DataId data;                     // subject data element (kDataWrite)
-  int branch_value = 0;            // kBranchChosen
-  int iteration = 0;               // iteration count of the loop (kLoopReset)
-  std::vector<NodeId> reset_nodes; // kLoopReset only
-  std::string detail;
+  NodeId node{};                     // subject node (if any)
+  DataId data{};                     // subject data element (kDataWrite)
+  int branch_value = 0;              // kBranchChosen
+  int iteration = 0;                 // iteration count of the loop (kLoopReset)
+  std::vector<NodeId> reset_nodes{}; // kLoopReset only
+  std::string detail{};
 };
 
 class ExecutionTrace {

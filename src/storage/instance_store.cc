@@ -105,39 +105,34 @@ Result<std::shared_ptr<const SchemaView>> InstanceStore::ViewFor(
   return Status::Internal("unknown storage strategy");
 }
 
+Status InstanceStore::Reapply(Record& record, SchemaId base_id, Delta bias) {
+  ADEPT_ASSIGN_OR_RETURN(std::shared_ptr<const ProcessSchema> base,
+                         repository_->Get(base_id));
+  // Seeded from the type schema's cached analysis with every op
+  // contributing its region: only the blocks the bias touches are
+  // re-verified, and no analysis is kept per instance.
+  ADEPT_ASSIGN_OR_RETURN(std::shared_ptr<const SchemaAnalysis> base_analysis,
+                         repository_->AnalysisFor(base_id));
+  BiasIdAllocator alloc;
+  ADEPT_ASSIGN_OR_RETURN(Delta::VerifiedSchema verified,
+                         bias.ApplyVerified(*base, base_analysis.get(),
+                                            base->version(), &alloc));
+  record.base_schema = base_id;
+  record.bias = std::move(bias);
+  record.report = std::move(verified.report);
+  return Refresh(record, std::move(verified.schema));
+}
+
 Result<std::shared_ptr<const SchemaView>> InstanceStore::AddBias(
     InstanceId id, Delta delta) {
   auto it = records_.find(id);
   if (it == records_.end()) return Status::NotFound("no such instance");
   Record& record = it->second;
-  ADEPT_ASSIGN_OR_RETURN(std::shared_ptr<const ProcessSchema> base,
-                         repository_->Get(record.base_schema));
-
   // Combined bias = existing ops (pinned) + new ops (fresh bias-range ids).
-  // The existing ops are a replay prefix reconstructing the schema the
-  // record's cached analysis describes, so incremental verification only
-  // re-checks the blocks the *new* ops touch.
-  const size_t replay_ops = record.bias.size();
-  const SchemaAnalysis* seed = record.analysis.get();
-  std::shared_ptr<const SchemaAnalysis> base_analysis;
-  if (seed == nullptr) {
-    // First bias: seed from the shared type schema's cached analysis.
-    ADEPT_ASSIGN_OR_RETURN(base_analysis,
-                           repository_->AnalysisFor(record.base_schema));
-    seed = base_analysis.get();
-  }
   Delta combined = record.bias.Clone();
   for (const auto& op : delta.ops()) combined.Add(op->Clone());
-  BiasIdAllocator alloc;
-  ADEPT_ASSIGN_OR_RETURN(
-      Delta::VerifiedSchema verified,
-      combined.ApplyVerified(*base, seed, base->version(), &alloc,
-                             replay_ops));
-
-  record.bias = std::move(combined);
-  record.report = std::move(verified.report);
-  record.analysis = std::move(verified.analysis);
-  ADEPT_RETURN_IF_ERROR(Refresh(record, std::move(verified.schema)));
+  ADEPT_RETURN_IF_ERROR(
+      Reapply(record, record.base_schema, std::move(combined)));
   return ViewFor(record);
 }
 
@@ -146,24 +141,12 @@ Result<std::shared_ptr<const SchemaView>> InstanceStore::Rebase(
   auto it = records_.find(id);
   if (it == records_.end()) return Status::NotFound("no such instance");
   Record& record = it->second;
-  ADEPT_ASSIGN_OR_RETURN(std::shared_ptr<const ProcessSchema> base,
-                         repository_->Get(new_base));
   if (!record.biased()) {
+    ADEPT_RETURN_IF_ERROR(repository_->Get(new_base).status());
     record.base_schema = new_base;
     return ViewFor(record);
   }
-  // Seed from the new base version's analysis: every bias op contributes
-  // its region, so only the blocks the bias touches are re-verified.
-  ADEPT_ASSIGN_OR_RETURN(std::shared_ptr<const SchemaAnalysis> base_analysis,
-                         repository_->AnalysisFor(new_base));
-  BiasIdAllocator alloc;
-  ADEPT_ASSIGN_OR_RETURN(Delta::VerifiedSchema verified,
-                         record.bias.ApplyVerified(*base, base_analysis.get(),
-                                                   base->version(), &alloc));
-  record.base_schema = new_base;
-  record.report = std::move(verified.report);
-  record.analysis = std::move(verified.analysis);
-  ADEPT_RETURN_IF_ERROR(Refresh(record, std::move(verified.schema)));
+  ADEPT_RETURN_IF_ERROR(Reapply(record, new_base, record.bias.Clone()));
   return ViewFor(record);
 }
 
@@ -177,7 +160,6 @@ Result<std::shared_ptr<const SchemaView>> InstanceStore::ClearBias(
   record.block = nullptr;
   record.full_copy = nullptr;
   record.report = VerificationReport();
-  record.analysis = nullptr;
   record.base_schema = new_base;
   return ViewFor(record);
 }

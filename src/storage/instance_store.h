@@ -48,13 +48,11 @@ class InstanceStore {
     // Strategy-dependent cached representation (unbiased: both empty).
     std::shared_ptr<const SubstitutionBlock> block;
     std::shared_ptr<const ProcessSchema> full_copy;
-    // Verification artifacts of the instance-specific schema (base + bias):
-    // the full report of the last verified bias application (warnings
-    // included) and the analysis that seeds incremental re-verification of
-    // the next bias. Empty/null while unbiased (the type schema's report
-    // lives in the repository).
+    // Full report (warnings included) of the last verified bias
+    // application. Empty while unbiased (the type schema's report lives in
+    // the repository). No analysis is kept per instance: the next bias is
+    // re-verified incrementally from the type schema's cached analysis.
     VerificationReport report;
-    std::shared_ptr<const SchemaAnalysis> analysis;
 
     bool biased() const { return !bias.empty(); }
   };
@@ -108,6 +106,10 @@ class InstanceStore {
   MemoryStats Memory() const;
 
  private:
+  // Verifies `bias` over schema version `base_id` and, on success,
+  // installs both plus the report and representation on `record`
+  // (untouched when the bias does not apply or fails verification).
+  Status Reapply(Record& record, SchemaId base_id, Delta bias);
   // Rebuilds the cached representation of a biased record.
   Status Refresh(Record& record,
                  std::shared_ptr<const ProcessSchema> materialized);

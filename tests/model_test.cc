@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <random>
+#include <string>
 
 #include "model/block_tree.h"
 #include "model/schema.h"
@@ -100,6 +103,186 @@ TEST(SchemaTest, FreezeRejectsDuplicateStart) {
   end.type = NodeType::kEndFlow;
   ASSERT_TRUE(s.AddNode(end).ok());
   EXPECT_EQ(s.Freeze().code(), StatusCode::kVerificationFailed);
+}
+
+// The adjacency lists against a brute-force scan of VisitEdges: per-node
+// out/in visits (ascending edge id) and FindEdgeBetween for every ordered
+// node pair and edge type.
+void ExpectAdjacencyMatchesScan(const ProcessSchema& s) {
+  std::map<uint32_t, std::vector<EdgeId>> out, in;
+  s.VisitEdges([&](const Edge& e) {
+    out[e.src.value()].push_back(e.id);
+    in[e.dst.value()].push_back(e.id);
+  });
+  const std::vector<NodeId> nodes = s.NodeIds();
+  for (NodeId n : nodes) {
+    std::vector<EdgeId> got_out, got_in;
+    s.VisitOutEdges(n, [&](const Edge& e) { got_out.push_back(e.id); });
+    s.VisitInEdges(n, [&](const Edge& e) { got_in.push_back(e.id); });
+    EXPECT_EQ(got_out, out[n.value()]) << "out-edges of n" << n.value();
+    EXPECT_EQ(got_in, in[n.value()]) << "in-edges of n" << n.value();
+    for (NodeId m : nodes) {
+      for (EdgeType type :
+           {EdgeType::kControl, EdgeType::kSync, EdgeType::kLoop}) {
+        const Edge* expected = nullptr;
+        for (EdgeId id : out[n.value()]) {
+          const Edge* e = s.FindEdge(id);
+          if (e->dst == m && e->type == type) {
+            expected = e;
+            break;
+          }
+        }
+        EXPECT_EQ(s.FindEdgeBetween(n, m, type), expected);
+      }
+    }
+  }
+}
+
+TEST(SchemaTest, MutableAdjacencyMatchesEdgeScan) {
+  for (uint32_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937 rng(seed);
+    auto pick = [&](size_t n) { return static_cast<size_t>(rng() % n); };
+    std::shared_ptr<ProcessSchema> s = SequenceSchema(4)->Clone();
+    std::vector<EdgeId> removed_edges;
+    for (int step = 0; step < 150; ++step) {
+      const std::vector<NodeId> nodes = s->NodeIds();
+      const std::vector<EdgeId> edges = s->EdgeIds();
+      const EdgeType type = static_cast<EdgeType>(pick(3));
+      switch (pick(7)) {
+        case 0: {
+          Node n;
+          n.type = NodeType::kActivity;
+          n.name = "x" + std::to_string(step);
+          ASSERT_TRUE(s->AddNode(n).ok());
+          break;
+        }
+        case 1:
+        case 2: {
+          // Self-loops included: RemoveNode must drop them exactly once.
+          NodeId src = nodes[pick(nodes.size())];
+          NodeId dst = nodes[pick(nodes.size())];
+          ASSERT_TRUE(s->AddEdge(src, dst, type).ok());
+          break;
+        }
+        case 3: {
+          // Re-using a freed id inserts below the largest edge id, so the
+          // lists must insert in order rather than append.
+          if (removed_edges.empty()) break;
+          size_t i = pick(removed_edges.size());
+          Edge e;
+          e.id = removed_edges[i];
+          e.src = nodes[pick(nodes.size())];
+          e.dst = nodes[pick(nodes.size())];
+          e.type = type;
+          removed_edges.erase(removed_edges.begin() + i);
+          ASSERT_TRUE(s->AddEdgeWithId(e).ok());
+          break;
+        }
+        case 4:
+        case 5: {
+          if (edges.empty()) break;
+          EdgeId id = edges[pick(edges.size())];
+          ASSERT_TRUE(s->RemoveEdge(id).ok());
+          removed_edges.push_back(id);
+          break;
+        }
+        default: {
+          if (nodes.size() <= 2) break;
+          NodeId victim = nodes[pick(nodes.size())];
+          s->VisitOutEdges(victim,
+                           [&](const Edge& e) { removed_edges.push_back(e.id); });
+          s->VisitInEdges(victim, [&](const Edge& e) {
+            if (e.src != victim) removed_edges.push_back(e.id);
+          });
+          ASSERT_TRUE(s->RemoveNode(victim).ok());
+          break;
+        }
+      }
+      ExpectAdjacencyMatchesScan(*s);
+      if (step % 25 == 24) {
+        s = s->Clone();  // the copy carries the lists
+        ExpectAdjacencyMatchesScan(*s);
+      }
+    }
+  }
+}
+
+// Block-preserving rewrites (serial insert, parallel wrap, activity delete)
+// made from the raw primitives: after every step the block tree parsed from
+// the mutable schema equals the one Freeze() builds.
+TEST(SchemaTest, MutableBlockTreeMatchesFrozen) {
+  int parsed_ok = 0;
+  for (uint32_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937 rng(seed);
+    std::shared_ptr<ProcessSchema> s = ComplexSchema()->Clone();
+    for (int step = 0; step < 30; ++step) {
+      std::vector<NodeId> activities;
+      s->VisitNodes([&](const Node& n) {
+        if (n.type == NodeType::kActivity) activities.push_back(n.id);
+      });
+      ASSERT_FALSE(activities.empty());
+      NodeId x = activities[rng() % activities.size()];
+      NodeId p = s->ControlPredecessor(x);
+      NodeId q = s->ControlSuccessor(x);
+      ASSERT_TRUE(p.valid() && q.valid());
+      const Edge in = *s->FindEdgeBetween(p, x, EdgeType::kControl);
+      const Edge out = *s->FindEdgeBetween(x, q, EdgeType::kControl);
+      auto add_node = [&](NodeType type) {
+        Node n;
+        n.type = type;
+        n.name = "s" + std::to_string(step) + "_" + NodeTypeToString(type);
+        return *s->AddNode(n);
+      };
+      auto link = [&](NodeId a, NodeId b, int branch_value = 0) {
+        ASSERT_TRUE(s->AddEdge(a, b, EdgeType::kControl, branch_value).ok());
+      };
+      switch (rng() % 3) {
+        case 0: {  // serial insert after x
+          ASSERT_TRUE(s->RemoveEdge(out.id).ok());
+          NodeId y = add_node(NodeType::kActivity);
+          link(x, y, out.branch_value);
+          link(y, q);
+          break;
+        }
+        case 1: {  // wrap x in a parallel block beside a new activity
+          ASSERT_TRUE(s->RemoveEdge(in.id).ok());
+          ASSERT_TRUE(s->RemoveEdge(out.id).ok());
+          NodeId split = add_node(NodeType::kAndSplit);
+          NodeId join = add_node(NodeType::kAndJoin);
+          NodeId y = add_node(NodeType::kActivity);
+          link(p, split, in.branch_value);
+          link(split, x);
+          link(x, join);
+          link(join, q, out.branch_value);
+          link(split, y);
+          link(y, join);
+          break;
+        }
+        default: {  // delete x, bridging its neighbours
+          if (activities.size() <= 1) break;
+          ASSERT_TRUE(s->RemoveNode(x).ok());
+          link(p, q, in.branch_value);
+          break;
+        }
+      }
+      ExpectAdjacencyMatchesScan(*s);
+      auto parsed = BlockTree::Build(*s);
+      parsed_ok += parsed.ok() ? 1 : 0;
+      std::string from_mutable =
+          parsed.ok() ? parsed->DebugString(*s) : parsed.status().message();
+      std::shared_ptr<ProcessSchema> frozen = s->Clone();
+      ASSERT_TRUE(frozen->Freeze().ok());
+      auto tree = frozen->block_tree();
+      std::string from_frozen =
+          tree.ok() ? (*tree)->DebugString(*frozen) : tree.status().message();
+      EXPECT_EQ(from_mutable, from_frozen);
+      ExpectAdjacencyMatchesScan(*frozen);
+    }
+  }
+  // Most steps keep a parseable structure; the comparison is not vacuous.
+  EXPECT_GT(parsed_ok, 12 * 30 / 2);
 }
 
 TEST(SchemaViewTest, SuccessorsAndPredecessors) {

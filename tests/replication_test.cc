@@ -213,6 +213,66 @@ TEST(ReplicationTest, QuorumCommitsReachBothReplicas) {
   EXPECT_EQ((*cluster)->shard_replication(0), nullptr);
 }
 
+// Tail trimming: with quorum = every copy, each commit returns only after
+// both peers acked it, so the next durable batch drops everything before
+// it and the tail never holds more than the newest batch.
+TEST(ReplicationTest, AckedTailFramesAreDropped) {
+  TempDir dir;
+  auto replica1 = StartReplica(dir, "replica1");
+  auto replica2 = StartReplica(dir, "replica2");
+  ASSERT_NE(replica1, nullptr);
+  ASSERT_NE(replica2, nullptr);
+  auto cluster = AdeptCluster::Create(PrimaryOptions(dir, 1));
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+  ASSERT_TRUE((*cluster)
+                  ->AttachReplication(
+                      ReplOptions({replica1->port(), replica2->port()}, 3))
+                  .ok());
+  ASSERT_TRUE((*cluster)->DeployProcessType(SequenceSchema(4)).ok());
+  std::vector<InstanceId> ids = CreateMany(**cluster, 10);
+  ASSERT_EQ(ids.size(), 10u);
+  const uint64_t before = DurableLsn(**cluster, 0);
+  ASSERT_EQ(CreateMany(**cluster, 1).size(), 1u);
+  const uint64_t last_batch = DurableLsn(**cluster, 0) - before;
+  ASSERT_GT(last_batch, 0u);
+
+  PrimaryStatus status = (*cluster)->shard_replication(0)->GetStatus();
+  EXPECT_LE(status.tail_frames, last_batch);
+  EXPECT_LT(status.tail_frames, DurableLsn(**cluster, 0));
+  EXPECT_EQ(status.tail_evictions, 0u);
+}
+
+// A peer that acks nothing (nobody listens on its port) pins every frame
+// written since replication was attached, even though the live peer acked
+// them all; nothing is evicted below the caps.
+TEST(ReplicationTest, LaggingPeerPinsTailFrames) {
+  TempDir dir;
+  auto replica = StartReplica(dir, "replica1");
+  ASSERT_NE(replica, nullptr);
+  uint16_t dead_port;
+  {
+    auto listener = TcpListener::Bind({.host = "127.0.0.1", .port = 0});
+    ASSERT_TRUE(listener.ok());
+    dead_port = (*listener)->port();
+    (*listener)->Close();
+  }
+  auto cluster = AdeptCluster::Create(PrimaryOptions(dir, 1));
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+  ASSERT_TRUE((*cluster)
+                  ->AttachReplication(
+                      ReplOptions({replica->port(), dead_port}, 2))
+                  .ok());
+  const uint64_t attached_at = DurableLsn(**cluster, 0);
+  ASSERT_TRUE((*cluster)->DeployProcessType(SequenceSchema(4)).ok());
+  std::vector<InstanceId> ids = CreateMany(**cluster, 10);
+  ASSERT_EQ(ids.size(), 10u);
+  ASSERT_TRUE(WaitConverged(**cluster, *replica, 1));
+
+  PrimaryStatus status = (*cluster)->shard_replication(0)->GetStatus();
+  EXPECT_EQ(status.tail_frames, DurableLsn(**cluster, 0) - attached_at);
+  EXPECT_EQ(status.tail_evictions, 0u);
+}
+
 // The acceptance scenario: kill the primary, promote a replica, verify
 // every acked write; then the stale second replica converges to the
 // promoted lineage (epoch bump forces the reset path) and keeps serving.

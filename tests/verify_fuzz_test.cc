@@ -18,8 +18,11 @@
 #include "bench/bench_util.h"
 #include "change/change_op.h"
 #include "change/delta.h"
+#include "change/id_allocator.h"
 #include "common/rng.h"
 #include "model/schema.h"
+#include "storage/instance_store.h"
+#include "storage/schema_repository.h"
 #include "verify/analysis.h"
 #include "verify/verifier.h"
 
@@ -247,6 +250,66 @@ TEST(VerifyFuzzTest, DeltaAnalysisMatchesFullAnalysis) {
   // And the incremental path must actually reuse summaries, or the test
   // proves nothing about invalidation.
   EXPECT_GT(stats.blocks_reused, stats.blocks_total / 4);
+}
+
+// Store level: a chain of up to 8 AddBias calls on one instance. Each call
+// re-applies the whole bias seeded from the type schema's analysis; the
+// report it stores must equal a full analysis of the materialized
+// instance-specific schema.
+TEST(VerifyFuzzTest, StoredBiasReportMatchesFullAnalysis) {
+  int accepted = 0;
+  int compared_with_findings = 0;
+  uint64_t seed = 1000;
+  for (int size : {12, 35}) {
+    for (int s = 0; s < 24; ++s, ++seed) {
+      auto base = bench::ScaledSchema(size, seed, "store" + std::to_string(seed));
+      ASSERT_NE(base, nullptr);
+      SchemaRepository repo;
+      auto schema_id = repo.Deploy(base);
+      ASSERT_TRUE(schema_id.ok()) << schema_id.status().message();
+      InstanceStore store(&repo);
+      const InstanceId id(1);
+      ASSERT_TRUE(store
+                      .Register(id, *schema_id,
+                                static_cast<StorageStrategy>(seed % 3))
+                      .ok());
+      Rng rng(seed * 2654435761u + 7);
+      int salt = 0;
+      int calls = 0;
+      for (int attempt = 0; attempt < 40 && calls < 8; ++attempt) {
+        auto view = store.ExecutionSchema(id);
+        ASSERT_TRUE(view.ok());
+        SchemaParts parts = Collect(**view);
+        Delta delta;
+        const int nops = 1 + static_cast<int>(rng.NextBelow(2));
+        for (int i = 0; i < nops; ++i) {
+          auto op = RandomOp(rng, **view, parts, ++salt);
+          if (op != nullptr) delta.Add(std::move(op));
+        }
+        if (delta.empty()) continue;
+        const std::string described = delta.Describe();
+        if (!store.AddBias(id, std::move(delta)).ok()) continue;
+        ++calls;
+        ++accepted;
+
+        auto record = store.Get(id);
+        ASSERT_TRUE(record.ok());
+        Delta bias = (*record)->bias.Clone();
+        BiasIdAllocator alloc;
+        auto materialized = bias.ApplyRaw(*base, base->version(), &alloc);
+        ASSERT_TRUE(materialized.ok()) << materialized.status().message();
+        const std::string want =
+            AnalyzeSchema(**materialized).report.CanonicalString();
+        const std::string got = (*record)->report.CanonicalString();
+        if (!(*record)->report.issues().empty()) ++compared_with_findings;
+        ASSERT_EQ(want, got) << "seed=" << seed << " call=" << calls
+                             << " delta=" << described;
+      }
+    }
+  }
+  EXPECT_GE(accepted, 200);
+  // Accepted biases still carry warnings; some must be compared.
+  EXPECT_GT(compared_with_findings, 0);
 }
 
 // region.full must force a from-scratch analysis even with a stale base.

@@ -282,8 +282,7 @@ TEST(VerifierTest, DuplicateBranchCodesRejected) {
   // Forge a duplicate selection code on the second branch edge.
   auto clone = b.mutable_schema();
   clone->VisitOutEdges(ids.open, [&](const Edge& e) {
-    Edge* m = clone->MutableEdge(e.id);
-    if (m != nullptr) m->branch_value = 0;
+    ASSERT_TRUE(clone->SetBranchValue(e.id, 0).ok());
   });
   auto schema = b.Build();
   ASSERT_TRUE(schema.ok());
