@@ -14,6 +14,10 @@
 //   BM_WorklistRevocationStorm one bulk MigrateToLatest() that demotes
 //                              the offered/claimed activity of every
 //                              instance — Arg(0) instances, half claimed
+//   BM_WorklistTaskAfterHistory one Claim+Start+Complete task on a 1-shard
+//                              cluster that already ran Arg(0) tasks —
+//                              the cost of a task must not grow with the
+//                              history (CI gates /20000 <= 2x /0)
 //
 // Emit machine-readable results like every other bench:
 //   ./build/bench_worklist --benchmark_format=json
@@ -274,6 +278,67 @@ BENCHMARK(BM_WorklistRevocationStorm)
     ->Arg(64)
     ->Arg(256)
     ->Unit(benchmark::kMillisecond);
+
+// --- Task cost against history -----------------------------------------------
+
+void BM_WorklistTaskAfterHistory(benchmark::State& state) {
+  const int history = static_cast<int>(state.range(0));
+  ClusterOptions options;
+  options.shards = 1;
+  auto cluster = AdeptCluster::Create(options);
+  if (!cluster.ok()) {
+    state.SkipWithError("cluster setup failed");
+    return;
+  }
+  AdeptCluster& adept = **cluster;
+  RoleId role = *adept.org().AddRole("clerk");
+  UserId user = *adept.org().AddUser("clerk0");
+  (void)adept.org().AssignRole(user, role);
+  SchemaBuilder b("bench_wl_task", 1);
+  b.Activity("task", {.role = role});
+  auto schema = b.Build();
+  if (!schema.ok() || !adept.DeployProcessType(*schema).ok()) {
+    state.SkipWithError("deploy failed");
+    return;
+  }
+  WorklistService& worklist = adept.Worklist();
+  // Creates a case and returns its one offered task.
+  auto next_item = [&]() -> Result<WorkItem> {
+    ADEPT_RETURN_IF_ERROR(adept.CreateInstance("bench_wl_task").status());
+    std::vector<WorkItem> offers = worklist.OffersFor(user);
+    if (offers.size() != 1) return Status::Internal("expected one offer");
+    return offers[0];
+  };
+  auto run_task = [&](const WorkItem& item) {
+    Status st = worklist.Claim(item.id, user);
+    if (st.ok()) st = worklist.Start(item.id, user);
+    if (st.ok()) st = worklist.Complete(item.id, user);
+    return st;
+  };
+  for (int i = 0; i < history; ++i) {
+    Result<WorkItem> item = next_item();
+    if (!item.ok() || !run_task(*item).ok()) {
+      state.SkipWithError("history task failed");
+      return;
+    }
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    Result<WorkItem> item = next_item();
+    state.ResumeTiming();
+    Status st = item.ok() ? run_task(*item) : item.status();
+    if (!st.ok()) {
+      state.SkipWithError("task failed");
+      break;
+    }
+    benchmark::DoNotOptimize(st);
+  }
+  state.counters["history"] = static_cast<double>(history);
+}
+BENCHMARK(BM_WorklistTaskAfterHistory)
+    ->Arg(0)
+    ->Arg(20000)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace adept

@@ -914,9 +914,9 @@ Result<MigrationReport> AdeptCluster::MigrateToLatest(
   return merged;
 }
 
-// Per-shard resyncs already ran inside AdeptSystem::Migrate; this one
-// reconciles the *cluster* worklist (revoke items whose node vanished in
-// the remap, offer what the demotion events could not announce).
+// Shards hold no worklist of their own, so this is the only reconciliation
+// after a migration: revoke items whose node vanished in the remap, offer
+// what the demotion events could not announce.
 void AdeptCluster::ResyncClusterWorklist() {
   worklist_->ResyncAfterMigration(
       [this](const WorklistService::InstanceVisitor& visitor) {

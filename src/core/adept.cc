@@ -39,7 +39,6 @@ Result<std::vector<ProcessInstance::DataWrite>> WritesFromJson(
 }  // namespace
 
 AdeptSystem::AdeptSystem(const AdeptOptions& options) : options_(options) {
-  fanout_.Add(&worklists_);
   engine_.set_observer(&fanout_);
 }
 
@@ -464,12 +463,23 @@ Status AdeptSystem::ApplyAdHocChange(InstanceId id, Delta delta) {
   return Log(wal_record);
 }
 
-void AdeptSystem::ResyncWorklists() {
-  std::vector<const ProcessInstance*> instances;
-  for (InstanceId id : engine_.InstanceIds()) {
-    instances.push_back(engine_.Find(id));
+WorklistService::InstanceEnumerator AdeptSystem::EngineInstances() {
+  return [this](const WorklistService::InstanceVisitor& visit) {
+    for (InstanceId id : engine_.InstanceIds()) visit(*engine_.Find(id));
+  };
+}
+
+WorklistService& AdeptSystem::worklists() {
+  if (worklists_ == nullptr) {
+    WorklistServiceOptions options;
+    options.segments = 1;  // single-threaded facade: nothing to spread
+    // Without a journal path Recover only derives offers; it cannot fail.
+    worklists_ = WorklistService::Recover(&org_, this, options,
+                                          EngineInstances())
+                     .value();
+    fanout_.Add(worklists_.get());
   }
-  worklists_.Resync(instances);
+  return *worklists_;
 }
 
 Result<MigrationReport> AdeptSystem::Migrate(SchemaId from, SchemaId to,
@@ -480,7 +490,9 @@ Result<MigrationReport> AdeptSystem::Migrate(SchemaId from, SchemaId to,
     // Bias-cancellation migrations rewrite instance markings wholesale
     // (no per-node events), which can strand work items referencing
     // remapped node ids; reconcile before anyone claims a stale item.
-    ResyncWorklists();
+    if (worklists_ != nullptr) {
+      worklists_->ResyncAfterMigration(EngineInstances());
+    }
     // Migration mutates instances below the facade's per-call hooks;
     // republish the touched instances so the read path sees the new
     // schema refs and remapped markings.
@@ -781,15 +793,12 @@ Status AdeptSystem::ApplyWalRecord(const JsonValue& record) {
   if (type == "migrate") {
     MigrationOptions options;
     options.use_replay_checker = record.Get("use_replay").as_bool();
-    Status st =
-        migration_manager_
-            .MigrateAll(
-                SchemaId(static_cast<uint64_t>(record.Get("from").as_int())),
-                SchemaId(static_cast<uint64_t>(record.Get("to").as_int())),
-                options)
-            .status();
-    if (st.ok()) ResyncWorklists();
-    return st;
+    return migration_manager_
+        .MigrateAll(
+            SchemaId(static_cast<uint64_t>(record.Get("from").as_int())),
+            SchemaId(static_cast<uint64_t>(record.Get("to").as_int())),
+            options)
+        .status();
   }
   return Status::Corruption("unknown WAL record type: " + type);
 }

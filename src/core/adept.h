@@ -7,7 +7,10 @@
 //   Engine             running instances with ADEPT marking semantics
 //   InstanceStore      Fig. 2 storage representations (overlay/copy/on-demand)
 //   compliance         ad-hoc changes, compliance checks, migration
-//   OrgModel/Worklists staff assignment and work items
+//   OrgModel           staff assignment (roles, users)
+//   WorklistService    work items; worklists() builds the service on first
+//                      use (a cluster shard never does: the cluster's
+//                      Worklist() is the only worklist there)
 //   monitor            Fig. 3 reports and visualization (separate headers)
 //   WAL + snapshots    durability: every state-changing call is logged via
 //                      a group-commit WalWriter (storage/wal_writer.h) with
@@ -35,13 +38,13 @@
 #include "core/adept_api.h"
 #include "model/schema.h"
 #include "org/org_model.h"
-#include "org/worklist.h"
 #include "runtime/driver.h"
 #include "runtime/engine.h"
 #include "storage/instance_store.h"
 #include "storage/schema_repository.h"
 #include "storage/wal.h"
 #include "storage/wal_writer.h"
+#include "worklist/worklist_service.h"
 
 namespace adept {
 
@@ -213,7 +216,12 @@ class AdeptSystem : public AdeptApi {
 
   OrgModel& org() { return org_; }
   const OrgModel& org() const { return org_; }
-  WorklistManager& worklists() { return worklists_; }
+  // The standalone system's worklist. The first call builds it from the
+  // current instances — offers derived as on recovery, one segment, no
+  // claim journal — and subscribes it to every later instance event;
+  // Migrate() then reconciles it. A system that never calls this keeps
+  // no work items, which is what a cluster shard relies on.
+  WorklistService& worklists();
 
   // Subscribes an additional observer to all instance events (monitoring).
   void AddObserver(InstanceObserver* observer) { fanout_.Add(observer); }
@@ -276,9 +284,9 @@ class AdeptSystem : public AdeptApi {
   Status AdoptInstanceFromJson(const JsonValue& ij);
   JsonValue SnapshotToJson(uint64_t wal_lsn) const;
   Status LoadSnapshotJson(const JsonValue& json, uint64_t* wal_lsn);
-  // Reconciles worklists with engine truth after a migration (bias
-  // cancellation rewrites markings without firing instance events).
-  void ResyncWorklists();
+  // Visits every engine instance: the worklist's offer derivation and its
+  // post-migration reconciliation.
+  WorklistService::InstanceEnumerator EngineInstances();
   // Publishes `id`'s current state into the snapshot table (erases when
   // the instance is gone) and applies the publication delta to the query
   // indexes. No-op during recovery — Recover() bulk-publishes once at
@@ -295,7 +303,7 @@ class AdeptSystem : public AdeptApi {
   InstanceStore store_{&repository_};
   MigrationManager migration_manager_{&engine_, &repository_, &store_};
   OrgModel org_;
-  WorklistManager worklists_{&org_};
+  std::unique_ptr<WorklistService> worklists_;  // built by worklists()
   ObserverFanout fanout_;
   SnapshotTable snapshots_;
   QueryIndex query_index_;

@@ -1,7 +1,7 @@
 // Minimal organizational model: users, roles, staff assignment.
 //
 // ADEPT2 activities carry a staff-assignment role (Node::role); the
-// worklist manager offers activated activities to the users holding that
+// worklist service offers activated activities to the users holding that
 // role. This module is deliberately small — enough to make the examples'
 // worklists realistic and to test revocation on dynamic changes.
 

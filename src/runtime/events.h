@@ -1,6 +1,6 @@
 // Observer interface for instance-level runtime events.
 //
-// The worklist manager and the monitoring component subscribe to these
+// The worklist service and the monitoring component subscribe to these
 // callbacks. Observers must not re-enter the instance synchronously.
 
 #ifndef ADEPT_RUNTIME_EVENTS_H_

@@ -29,7 +29,36 @@ bool CarriesClaim(const WorkItem& item) {
           item.state == WorkItemState::kStarted);
 }
 
+// The staff-assignment activity behind `node`, or nullptr when the node
+// does not exist, is not an activity, or carries no role: the
+// offer-eligibility rule.
+const Node* OfferableActivity(const SchemaView& schema, NodeId node) {
+  const Node* n = schema.FindNode(node);
+  if (n == nullptr || n->type != NodeType::kActivity || !n->role.valid()) {
+    return nullptr;
+  }
+  return n;
+}
+
+// Completed runs of `node` per the instance trace — the activation epoch
+// recorded in offered items.
+uint64_t ActivationEpoch(const ProcessInstance& instance, NodeId node) {
+  return instance.completed_runs(node);
+}
+
 }  // namespace
+
+const char* WorkItemStateToString(WorkItemState s) {
+  switch (s) {
+    case WorkItemState::kOffered:
+      return "offered";
+    case WorkItemState::kClaimed:
+      return "claimed";
+    case WorkItemState::kStarted:
+      return "started";
+  }
+  return "?";
+}
 
 WorklistService::WorklistService(const OrgModel* org, AdeptApi* api,
                                  const WorklistServiceOptions& options)
@@ -580,8 +609,6 @@ WorklistStats WorklistService::Stats() const {
         case WorkItemState::kStarted:
           ++stats.started;
           break;
-        case WorkItemState::kRevoked:
-          break;
       }
     }
   }
@@ -690,7 +717,7 @@ void WorklistService::ResyncAfterMigration(
       const Node* n = instance.schema().FindNode(item.node);
       NodeState state = n == nullptr ? NodeState::kNotActivated
                                      : instance.node_state(item.node);
-      bool ok;
+      bool ok = false;
       switch (item.state) {
         case WorkItemState::kOffered:
           ok = state == NodeState::kActivated;
@@ -710,9 +737,6 @@ void WorklistService::ResyncAfterMigration(
         case WorkItemState::kStarted:
           ok = state == NodeState::kRunning ||
                state == NodeState::kSuspended || state == NodeState::kFailed;
-          break;
-        default:
-          ok = false;
           break;
       }
       if (!ok) {

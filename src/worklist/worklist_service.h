@@ -1,9 +1,9 @@
-// WorklistService: cluster-wide concurrent task distribution.
+// WorklistService: the system's worklist — concurrent task distribution.
 //
-// The per-shard WorklistManager (org/worklist.h) is a single-threaded toy
-// bound to one AdeptSystem; this service is the scale-out counterpart: it
-// subscribes to instance events across every shard of an AdeptCluster and
-// serves worklists to many concurrent actors. The paper's promise — all
+// Every worklist of the system is one of these. An AdeptCluster owns one,
+// subscribed to the instance events of every shard (shards keep none of
+// their own); a standalone AdeptSystem builds one on the first call of
+// worklists() (one segment, no claim journal). The paper's promise — all
 // adaptation complexity "is hidden from users", who only ever see a
 // consistent worklist — survives ad-hoc deletion, migration demotion, and
 // bias-cancellation remaps because every retraction path funnels through
@@ -62,13 +62,33 @@
 #include "common/status.h"
 #include "core/adept_api.h"
 #include "org/org_model.h"
-#include "org/worklist.h"
 #include "runtime/events.h"
 #include "runtime/instance.h"
 #include "storage/wal.h"
 #include "storage/wal_writer.h"
 
 namespace adept {
+
+enum class WorkItemState {
+  kOffered = 0,  // visible in role members' worklists
+  kClaimed,      // reserved by one user, not yet started
+  kStarted,      // activity execution began
+};
+
+const char* WorkItemStateToString(WorkItemState s);
+
+struct WorkItem {
+  WorkItemId id;
+  InstanceId instance;
+  NodeId node;
+  RoleId role;
+  WorkItemState state = WorkItemState::kOffered;
+  UserId claimed_by;
+  // Activation epoch: completed runs of the node when the item was
+  // offered. Distinguishes loop iterations of the same (instance, node)
+  // in the claim journal.
+  uint64_t epoch = 0;
+};
 
 struct WorklistServiceOptions {
   // Claim journal path; empty disables durability (claims die with the

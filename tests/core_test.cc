@@ -236,6 +236,54 @@ TEST(AdeptSystemTest, WorklistIntegration) {
   EXPECT_TRUE(adept.SnapshotOf(*inst)->finished);
 }
 
+// A recovered standalone system builds its worklist on first use from the
+// replayed instances, and serves a full claim/start/complete cycle.
+TEST(AdeptSystemTest, RecoveredSystemBuildsWorklistOnFirstUse) {
+  TempDir dir;
+  AdeptOptions options = DurableOptions(dir);
+  // The org model is not durable here: populate it identically (stable
+  // ids) before and after recovery.
+  auto populate = [](OrgModel& org) {
+    RoleId clerk = *org.AddRole("clerk");
+    UserId alice = *org.AddUser("alice");
+    EXPECT_TRUE(org.AssignRole(alice, clerk).ok());
+    return std::make_pair(clerk, alice);
+  };
+  InstanceId id;
+  NodeId file, sign;
+  {
+    auto system = AdeptSystem::Create(options);
+    ASSERT_TRUE(system.ok());
+    AdeptSystem& adept = **system;
+    RoleId clerk = populate(adept.org()).first;
+    SchemaBuilder b("office", 1);
+    file = b.Activity("file papers", {.role = clerk});
+    sign = b.Activity("sign papers", {.role = clerk});
+    auto schema = b.Build();
+    ASSERT_TRUE(schema.ok());
+    ASSERT_TRUE(adept.DeployProcessType(*schema).ok());
+    id = *adept.CreateInstance("office");
+    ASSERT_TRUE(adept.StartActivity(id, file).ok());
+    ASSERT_TRUE(adept.CompleteActivity(id, file).ok());
+  }
+
+  auto recovered = AdeptSystem::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  AdeptSystem& adept = **recovered;
+  UserId alice = populate(adept.org()).second;
+  WorklistService& worklists = adept.worklists();
+  auto offers = worklists.OffersFor(alice);
+  ASSERT_EQ(offers.size(), 1u);
+  EXPECT_EQ(offers[0].instance, id);
+  EXPECT_EQ(offers[0].node, sign);
+  ASSERT_TRUE(worklists.Claim(offers[0].id, alice).ok());
+  ASSERT_TRUE(worklists.Start(offers[0].id, alice).ok());
+  ASSERT_TRUE(worklists.Complete(offers[0].id, alice).ok());
+  EXPECT_TRUE(adept.SnapshotOf(id)->finished);
+  EXPECT_TRUE(worklists.OffersFor(alice).empty());
+  EXPECT_EQ(worklists.Stats().completed_total, 1u);
+}
+
 TEST(AdeptSystemTest, WalRecoveryRestoresFullState) {
   TempDir dir;
   AdeptOptions options = DurableOptions(dir);

@@ -1,14 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "change/change_op.h"
-#include "compliance/adhoc.h"
 #include "core/adept.h"
 #include "org/org_model.h"
-#include "org/worklist.h"
-#include "storage/instance_store.h"
-#include "storage/schema_repository.h"
 #include "model/schema_builder.h"
-#include "runtime/engine.h"
 
 namespace adept {
 namespace {
@@ -34,6 +29,22 @@ class WorklistTest : public ::testing::Test {
     ASSERT_TRUE(org_.AssignRole(bob_, packer_).ok());
     schema_ = RoleSchema(clerk_, packer_);
     ASSERT_NE(schema_, nullptr);
+  }
+
+  // A standalone system whose org model holds the fixture's roles and
+  // users under the same ids, with role_proc deployed.
+  std::unique_ptr<AdeptSystem> MakeSystem() {
+    auto system = AdeptSystem::Create();
+    EXPECT_TRUE(system.ok());
+    OrgModel& org = (*system)->org();
+    EXPECT_EQ(*org.AddRole("clerk"), clerk_);
+    EXPECT_EQ(*org.AddRole("packer"), packer_);
+    EXPECT_EQ(*org.AddUser("alice"), alice_);
+    EXPECT_EQ(*org.AddUser("bob"), bob_);
+    EXPECT_TRUE(org.AssignRole(alice_, clerk_).ok());
+    EXPECT_TRUE(org.AssignRole(bob_, packer_).ok());
+    EXPECT_TRUE((*system)->DeployProcessType(schema_).ok());
+    return std::move(system).value();
   }
 
   OrgModel org_;
@@ -69,10 +80,9 @@ TEST(OrgModelTest, RolesAndUsers) {
 }
 
 TEST_F(WorklistTest, OffersFollowActivation) {
-  WorklistManager worklists(&org_);
-  ProcessInstance inst(InstanceId(1), schema_, SchemaId(1));
-  inst.set_observer(&worklists);
-  ASSERT_TRUE(inst.Start().ok());
+  auto adept = MakeSystem();
+  WorklistService& worklists = adept->worklists();
+  InstanceId id = *adept->CreateInstance("role_proc");
 
   // "take order" is activated -> offered to alice (clerk), not bob.
   auto alice_offers = worklists.OffersFor(alice_);
@@ -83,8 +93,8 @@ TEST_F(WorklistTest, OffersFollowActivation) {
   // Claim and start.
   ASSERT_TRUE(worklists.Claim(alice_offers[0].id, alice_).ok());
   EXPECT_TRUE(worklists.OffersFor(alice_).empty());  // claimed, not offered
-  ASSERT_TRUE(inst.StartActivity(alice_offers[0].node).ok());
-  ASSERT_TRUE(inst.CompleteActivity(alice_offers[0].node).ok());
+  ASSERT_TRUE(adept->StartActivity(id, alice_offers[0].node).ok());
+  ASSERT_TRUE(adept->CompleteActivity(id, alice_offers[0].node).ok());
 
   // Next item goes to bob.
   auto bob_offers = worklists.OffersFor(bob_);
@@ -93,10 +103,9 @@ TEST_F(WorklistTest, OffersFollowActivation) {
 }
 
 TEST_F(WorklistTest, ClaimAuthorizationEnforced) {
-  WorklistManager worklists(&org_);
-  ProcessInstance inst(InstanceId(1), schema_, SchemaId(1));
-  inst.set_observer(&worklists);
-  ASSERT_TRUE(inst.Start().ok());
+  auto adept = MakeSystem();
+  ASSERT_TRUE(adept->CreateInstance("role_proc").ok());
+  WorklistService& worklists = adept->worklists();
   auto offers = worklists.OffersFor(alice_);
   ASSERT_EQ(offers.size(), 1u);
   // bob is no clerk.
@@ -107,29 +116,50 @@ TEST_F(WorklistTest, ClaimAuthorizationEnforced) {
   EXPECT_FALSE(worklists.Claim(offers[0].id, alice_).ok());
 }
 
-TEST_F(WorklistTest, AdHocDeletionRevokesWorkItem) {
-  SchemaRepository repo;
-  auto schema_id = repo.Deploy(schema_);
-  ASSERT_TRUE(schema_id.ok());
-  InstanceStore store(&repo);
-  WorklistManager worklists(&org_);
+// The first worklists() call derives offers from the instances as they
+// stand: only the currently activated role activity, nothing from the
+// history before the call, and later events keep it current.
+TEST_F(WorklistTest, FirstCallDerivesOffersFromProgressedInstance) {
+  auto adept = MakeSystem();
+  InstanceId id = *adept->CreateInstance("role_proc");
+  NodeId take_order = schema_->FindNodeByName("take order");
+  ASSERT_TRUE(adept->StartActivity(id, take_order).ok());
+  ASSERT_TRUE(adept->CompleteActivity(id, take_order).ok());
 
-  Engine engine;
-  engine.set_observer(&worklists);
-  auto created = engine.CreateInstance(schema_, *schema_id);
-  ASSERT_TRUE(created.ok());
-  ProcessInstance* inst = *created;
-  ASSERT_TRUE(store.Register(inst->id(), *schema_id).ok());
-  ASSERT_TRUE(inst->Start().ok());
-  ASSERT_EQ(worklists.offered_count(), 1u);
+  WorklistService& worklists = adept->worklists();
+  EXPECT_TRUE(worklists.OffersFor(alice_).empty());
+  auto offers = worklists.OffersFor(bob_);
+  ASSERT_EQ(offers.size(), 1u);
+  EXPECT_EQ(offers[0].instance, id);
+  EXPECT_EQ(offers[0].node, schema_->FindNodeByName("pack"));
+  WorklistStats stats = worklists.Stats();
+  EXPECT_EQ(stats.offered, 1u);
+  EXPECT_EQ(stats.claimed + stats.started, 0u);
+
+  // Subscribed from here on: the claimed task runs through the service
+  // and its completion offers the successor.
+  ASSERT_TRUE(worklists.Claim(offers[0].id, bob_).ok());
+  ASSERT_TRUE(worklists.Start(offers[0].id, bob_).ok());
+  ASSERT_TRUE(worklists.Complete(offers[0].id, bob_).ok());
+  EXPECT_EQ(worklists.Stats().completed_total, 1u);
+  offers = worklists.OffersFor(bob_);
+  ASSERT_EQ(offers.size(), 1u);
+  EXPECT_EQ(offers[0].node, schema_->FindNodeByName("ship"));
+}
+
+TEST_F(WorklistTest, AdHocDeletionRevokesWorkItem) {
+  auto adept = MakeSystem();
+  WorklistService& worklists = adept->worklists();
+  InstanceId id = *adept->CreateInstance("role_proc");
+  ASSERT_EQ(worklists.Stats().offered, 1u);
 
   // Delete the offered activity ad hoc: the work item must be revoked.
   Delta delta;
   delta.Add(std::make_unique<DeleteActivityOp>(
       schema_->FindNodeByName("take order")));
-  ASSERT_TRUE(ApplyAdHocChange(*inst, store, std::move(delta)).ok());
+  ASSERT_TRUE(adept->ApplyAdHocChange(id, std::move(delta)).ok());
 
-  EXPECT_EQ(worklists.revoked_count(), 1u);
+  EXPECT_EQ(worklists.Stats().revoked_total, 1u);
   // The successor ("pack") is offered instead.
   auto bob_offers = worklists.OffersFor(bob_);
   ASSERT_EQ(bob_offers.size(), 1u);
@@ -137,19 +167,9 @@ TEST_F(WorklistTest, AdHocDeletionRevokesWorkItem) {
 }
 
 TEST_F(WorklistTest, AdHocDeletionRevokesClaimedItemExactlyOnce) {
-  SchemaRepository repo;
-  auto schema_id = repo.Deploy(schema_);
-  ASSERT_TRUE(schema_id.ok());
-  InstanceStore store(&repo);
-  WorklistManager worklists(&org_);
-
-  Engine engine;
-  engine.set_observer(&worklists);
-  auto created = engine.CreateInstance(schema_, *schema_id);
-  ASSERT_TRUE(created.ok());
-  ProcessInstance* inst = *created;
-  ASSERT_TRUE(store.Register(inst->id(), *schema_id).ok());
-  ASSERT_TRUE(inst->Start().ok());
+  auto adept = MakeSystem();
+  WorklistService& worklists = adept->worklists();
+  InstanceId id = *adept->CreateInstance("role_proc");
 
   // Claim the offered "take order" before it is deleted ad hoc.
   auto offers = worklists.OffersFor(alice_);
@@ -159,10 +179,10 @@ TEST_F(WorklistTest, AdHocDeletionRevokesClaimedItemExactlyOnce) {
   Delta delta;
   delta.Add(std::make_unique<DeleteActivityOp>(
       schema_->FindNodeByName("take order")));
-  ASSERT_TRUE(ApplyAdHocChange(*inst, store, std::move(delta)).ok());
+  ASSERT_TRUE(adept->ApplyAdHocChange(id, std::move(delta)).ok());
 
   // Retracted exactly once — claimed items included.
-  EXPECT_EQ(worklists.revoked_count(), 1u);
+  EXPECT_EQ(worklists.Stats().revoked_total, 1u);
   EXPECT_TRUE(worklists.OffersFor(alice_).empty());
   EXPECT_FALSE(worklists.Claim(offers[0].id, alice_).ok());
 }
@@ -271,7 +291,7 @@ TEST_F(WorklistTest, MigrationDemotionRevokesClaimedItems) {
 
   // Both "c" items (one offered, one claimed) retracted exactly once;
   // the new "gate" is offered on both instances.
-  EXPECT_EQ(adept.worklists().revoked_count(), 2u);
+  EXPECT_EQ(adept.worklists().Stats().revoked_total, 2u);
   offers = adept.worklists().OffersFor(alice);
   ASSERT_EQ(offers.size(), 2u);
   for (const WorkItem& item : offers) {
@@ -292,12 +312,13 @@ TEST_F(WorklistTest, SkippedBranchRevokesOffer) {
   auto schema = b.Build();
   ASSERT_TRUE(schema.ok());
 
-  WorklistManager worklists(&org_);
-  ProcessInstance inst(InstanceId(1), *schema, SchemaId(1));
-  inst.set_observer(&worklists);
-  ASSERT_TRUE(inst.Start().ok());
-  ASSERT_TRUE(inst.StartActivity(init).ok());
-  ASSERT_TRUE(inst.CompleteActivity(init, {{sel, DataValue::Int(0)}}).ok());
+  auto adept = MakeSystem();
+  ASSERT_TRUE(adept->DeployProcessType(*schema).ok());
+  WorklistService& worklists = adept->worklists();
+  InstanceId id = *adept->CreateInstance("xor_roles");
+  ASSERT_TRUE(adept->StartActivity(id, init).ok());
+  ASSERT_TRUE(
+      adept->CompleteActivity(id, init, {{sel, DataValue::Int(0)}}).ok());
 
   // Only "left" is offered; "right" was skipped without ever being offered.
   auto offers = worklists.OffersFor(bob_);
