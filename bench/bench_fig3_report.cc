@@ -5,14 +5,22 @@
 //                         adapt states, render the Fig. 3 report
 //   BM_LazyVsEager        eager full migration vs. lazy planning (dry-run
 //                         classification now, per-instance migration later)
+//   BM_MigrateToLatestAfterVersions
+//                         one MigrateToLatest round of 20,000 instances
+//                         after a history of N versions
 //
 // Expected shape: ~linear in N up to 10^4+ instances; lazy classification
 // is cheaper up front, and the deferred per-instance migrations cost the
-// same total work.
+// same total work. A round costs what it examines and migrates, not how
+// many versions the type has: CI gates /41 at 1.3x /2.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <filesystem>
+
 #include "bench/bench_util.h"
+#include "core/adept.h"
 #include "monitor/monitor.h"
 
 namespace adept {
@@ -82,6 +90,71 @@ void BM_LazyVsEager(benchmark::State& state) {
 }
 BENCHMARK(BM_LazyVsEager)
     ->ArgsProduct({{2000}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
+
+// A standalone system with a flushed WAL and 20,000 online orders
+// (0-3 steps of progress, 10% disjoint bias) evolves round after round,
+// alternately inserting and deleting "audit", and migrates to the latest
+// version after each round. Untimed set-up rounds bring the type to N - 1
+// versions; each of the four timed iterations evolves once more (untimed)
+// and times the MigrateToLatest, the first at N versions. Instances that
+// stay behind are re-examined in every round, so each round examines all
+// 20,000 (items); the older version pairs hold only those.
+void BM_MigrateToLatestAfterVersions(benchmark::State& state) {
+  constexpr int kInstances = 20000;
+  AdeptOptions options;
+  options.wal_path = (std::filesystem::temp_directory_path() /
+                      "adept_bench_migrate_history.wal")
+                         .string();
+  options.sync = SyncMode::kFlush;
+  auto system = std::move(AdeptSystem::Create(options)).value();
+  std::shared_ptr<const ProcessSchema> v1 = bench::OnlineOrderV1();
+  (void)system->DeployProcessType(v1);
+  Rng rng(7);
+  SimulationDriver driver({.seed = 8});
+  for (int i = 0; i < kInstances; ++i) {
+    InstanceId id = *system->CreateInstance("online_order");
+    if (rng.NextDouble() < 0.1) {
+      (void)system->ApplyAdHocChange(id, bench::DisjointBias(*v1));
+    }
+    for (uint64_t step = rng.NextBelow(4); step > 0; --step) {
+      (void)system->DriveStep(id, driver);
+    }
+  }
+  int rounds = 0;
+  auto evolve = [&] {
+    SchemaId latest = *system->LatestVersion("online_order");
+    std::shared_ptr<const ProcessSchema> schema = *system->Schema(latest);
+    (void)system->EvolveProcessType(latest, rounds++ % 2 == 0
+                                                ? bench::InsertAudit(*schema)
+                                                : bench::DeleteAudit(*schema));
+  };
+  for (int64_t versions = 2; versions < state.range(0); ++versions) {
+    evolve();
+    (void)system->MigrateToLatest("online_order");
+  }
+
+  size_t examined = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    evolve();
+    state.ResumeTiming();
+    auto report = system->MigrateToLatest("online_order");
+    benchmark::DoNotOptimize(report);
+    if (!report.ok()) {
+      state.SkipWithError(report.status().ToString().c_str());
+      break;
+    }
+    examined += report->results.size();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(examined));
+  system.reset();
+  std::remove(options.wal_path.c_str());
+}
+BENCHMARK(BM_MigrateToLatestAfterVersions)
+    ->Arg(2)
+    ->Arg(41)
+    ->Iterations(4)
     ->Unit(benchmark::kMillisecond);
 
 // Report rendering alone (the monitoring component's share).

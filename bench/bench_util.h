@@ -153,6 +153,26 @@ inline Delta ConflictingBias(const ProcessSchema& v1) {
   return delta;
 }
 
+// Type changes of a version-history run: "audit" between "get order" and
+// "collect data" of the latest version, and its removal, so the schema
+// stays the same size however many rounds alternate the two.
+inline Delta InsertAudit(const ProcessSchema& latest) {
+  NewActivitySpec spec;
+  spec.name = "audit";
+  Delta delta;
+  delta.Add(std::make_unique<SerialInsertOp>(
+      spec, latest.FindNodeByName("get order"),
+      latest.FindNodeByName("collect data")));
+  return delta;
+}
+
+inline Delta DeleteAudit(const ProcessSchema& latest) {
+  Delta delta;
+  delta.Add(
+      std::make_unique<DeleteActivityOp>(latest.FindNodeByName("audit")));
+  return delta;
+}
+
 struct PopulationOptions {
   int instances = 1000;
   double biased_fraction = 0.0;       // of these...

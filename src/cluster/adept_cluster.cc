@@ -877,11 +877,10 @@ Result<MigrationReport> AdeptCluster::Migrate(SchemaId from, SchemaId to,
     });
   }
   RunParallel(std::move(tasks));
-  auto merged = MergeReports(reports);
   // Resync even when a shard failed: the successful shards' migrations
   // are committed, so their stale items must still be retracted.
-  if (!options.dry_run) ResyncClusterWorklist();
-  return merged;
+  if (!options.dry_run) ResyncClusterWorklist(reports);
+  return MergeReports(reports);
 }
 
 Result<MigrationReport> AdeptCluster::MigrateToLatest(
@@ -907,20 +906,38 @@ Result<MigrationReport> AdeptCluster::MigrateToLatest(
     });
   }
   RunParallel(std::move(tasks));
-  auto merged = MergeReports(reports);
   // Resync even when a shard failed: the successful shards' migrations
   // are committed, so their stale items must still be retracted.
-  if (!options.dry_run) ResyncClusterWorklist();
-  return merged;
+  if (!options.dry_run) ResyncClusterWorklist(reports);
+  return MergeReports(reports);
 }
 
 // Shards hold no worklist of their own, so this is the only reconciliation
 // after a migration: revoke items whose node vanished in the remap, offer
-// what the demotion events could not announce.
-void AdeptCluster::ResyncClusterWorklist() {
+// what the demotion events could not announce. Only a changed instance can
+// hold a stale item, so a round's resync costs what it migrated.
+void AdeptCluster::ResyncClusterWorklist(
+    const std::vector<Result<MigrationReport>>& reports) {
   worklist_->ResyncAfterMigration(
-      [this](const WorklistService::InstanceVisitor& visitor) {
-        ForEachInstance(visitor);
+      [this, &reports](const WorklistService::InstanceVisitor& visit) {
+        for (size_t k = 0; k < shards_.size(); ++k) {
+          const Shard& shard = *shards_[k];
+          std::lock_guard<std::mutex> lock(shard.mu);
+          const Engine& engine = shard.system->engine();
+          std::vector<InstanceId> ids;
+          if (k < reports.size() && reports[k].ok()) {
+            for (const auto& result : reports[k]->results) {
+              if (ChangesInstance(result.outcome)) ids.push_back(result.id);
+            }
+          } else {
+            ids = engine.InstanceIds();
+          }
+          for (InstanceId id : ids) {
+            if (const ProcessInstance* instance = engine.Find(id)) {
+              visit(*instance);
+            }
+          }
+        }
       });
 }
 

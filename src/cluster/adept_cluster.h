@@ -511,9 +511,14 @@ class AdeptCluster : public AdeptApi {
   // Shared scaffold of Create()/Recover(): opens (or rebuilds) the
   // worklist service and subscribes it to every shard.
   Status AttachWorklist(bool recover);
-  // Shared tail of Migrate()/MigrateToLatest(): reconciles the worklist
-  // with post-migration engine truth.
-  void ResyncClusterWorklist();
+  // Reconciles the worklist with engine truth, one shard at a time under
+  // its lock. Shard k visits only the instances its report `reports[k]`
+  // says changed (ChangesInstance): the shared tail of Migrate() and
+  // MigrateToLatest(). A shard without a successful report (its call
+  // failed, so what it changed is unknown; or no reports at all, as after
+  // Resize) is visited whole.
+  void ResyncClusterWorklist(
+      const std::vector<Result<MigrationReport>>& reports = {});
 
   ClusterOptions options_;
   std::vector<std::shared_ptr<Shard>> shards_;

@@ -118,6 +118,23 @@ const char* MigrationOutcomeToString(MigrationOutcome outcome) {
   return "?";
 }
 
+bool ChangesInstance(MigrationOutcome outcome) {
+  switch (outcome) {
+    case MigrationOutcome::kMigrated:
+    case MigrationOutcome::kMigratedBiased:
+    case MigrationOutcome::kBiasCancelled:
+    case MigrationOutcome::kError:
+      return true;
+    case MigrationOutcome::kStateConflict:
+    case MigrationOutcome::kStructuralConflict:
+    case MigrationOutcome::kSemanticConflict:
+    case MigrationOutcome::kFinishedSkipped:
+    case MigrationOutcome::kNotOnSourceVersion:
+      return false;
+  }
+  return true;
+}
+
 size_t MigrationReport::Count(MigrationOutcome outcome) const {
   size_t n = 0;
   for (const auto& r : results) {
@@ -168,9 +185,7 @@ Result<MigrationReport> MigrationManager::MigrateAll(
   report.from_version = from_schema->version();
   report.to_version = to_schema->version();
 
-  for (InstanceId id : store_->Ids()) {
-    auto record = store_->Get(id);
-    if (!record.ok() || (*record)->base_schema != from) continue;
+  for (InstanceId id : store_->IdsOnBase(from)) {
     auto result = MigrateOne(id, from, to, *type_change, options);
     if (result.ok()) {
       report.results.push_back(std::move(result).value());
@@ -323,34 +338,33 @@ Result<InstanceMigrationResult> MigrationManager::MigrateBiased(
 
   // Structural check: does the bias still apply on top of S', and is the
   // combined schema correct? (Fig. 1: instance I2 fails here with a
-  // deadlock-causing cycle.) Probe with a cloned delta so nothing commits.
-  {
-    Delta probe = record.bias.Clone();
-    BiasIdAllocator alloc;
-    // Incremental probe: seed from the target version's cached analysis so
-    // only the blocks the bias touches are re-verified.
-    std::shared_ptr<const SchemaAnalysis> target_analysis;
-    if (auto a = repository_->AnalysisFor(to); a.ok()) {
-      target_analysis = *a;
-    }
-    auto candidate = probe.ApplyVerified(*target, target_analysis.get(),
-                                         target->version(), &alloc);
-    if (!candidate.ok()) {
-      result.outcome = MigrationOutcome::kStructuralConflict;
-      result.detail = candidate.status().message();
+  // deadlock-causing cycle.) Probe with a cloned delta so nothing commits;
+  // if the instance migrates, the store installs this probe as its rebased
+  // bias, so the bias is verified over S' exactly once.
+  Delta rebased_bias = record.bias.Clone();
+  BiasIdAllocator alloc;
+  // Incremental probe: seed from the target version's cached analysis so
+  // only the blocks the bias touches are re-verified.
+  std::shared_ptr<const SchemaAnalysis> target_analysis;
+  if (auto a = repository_->AnalysisFor(to); a.ok()) {
+    target_analysis = *a;
+  }
+  auto candidate = rebased_bias.ApplyVerified(*target, target_analysis.get(),
+                                              target->version(), &alloc);
+  if (!candidate.ok()) {
+    result.outcome = MigrationOutcome::kStructuralConflict;
+    result.detail = candidate.status().message();
+    return result;
+  }
+  if (options.use_replay_checker) {
+    std::shared_ptr<const SchemaView> candidate_view = candidate->schema;
+    ReplayResult rr = CheckComplianceByReplay(instance, candidate_view);
+    if (!rr.compliant) {
+      result.outcome = MigrationOutcome::kStateConflict;
+      result.detail = rr.reason;
       return result;
     }
-    if (options.use_replay_checker) {
-      std::shared_ptr<const SchemaView> candidate_view = candidate->schema;
-      ReplayResult rr = CheckComplianceByReplay(instance, candidate_view);
-      if (!rr.compliant) {
-        result.outcome = MigrationOutcome::kStateConflict;
-        result.detail = rr.reason;
-        return result;
-      }
-    }
-  }
-  if (!options.use_replay_checker) {
+  } else {
     ConditionResult cond = CheckStateConditions(instance, type_change);
     if (!cond.compliant) {
       result.outcome = MigrationOutcome::kStateConflict;
@@ -364,8 +378,10 @@ Result<InstanceMigrationResult> MigrationManager::MigrateBiased(
     return result;
   }
 
-  ADEPT_ASSIGN_OR_RETURN(std::shared_ptr<const SchemaView> view,
-                         store_->Rebase(instance.id(), to));
+  ADEPT_ASSIGN_OR_RETURN(
+      std::shared_ptr<const SchemaView> view,
+      store_->Rebase(instance.id(), to, std::move(rebased_bias),
+                     std::move(candidate).value()));
   ADEPT_RETURN_IF_ERROR(instance.AdoptSchema(view, to));
   instance.mutable_trace().Append(
       {.kind = TraceEventKind::kMigrated,

@@ -51,6 +51,13 @@ enum class MigrationOutcome {
 
 const char* MigrationOutcomeToString(MigrationOutcome outcome);
 
+// Whether an outcome may have changed the instance or its store record:
+// the three migrated outcomes, and kError, because MigrateOne can fail
+// after AdoptSchema, ClearBias or the replay oracle check has already
+// changed the instance. Every other outcome leaves both untouched, so
+// whoever republishes or resyncs after a migration visits only these.
+bool ChangesInstance(MigrationOutcome outcome);
+
 struct InstanceMigrationResult {
   InstanceId id;
   MigrationOutcome outcome = MigrationOutcome::kError;
@@ -89,7 +96,10 @@ class MigrationManager {
       : engine_(engine), repository_(repository), store_(store) {}
 
   // Migrates every registered instance currently based on `from` to `to`
-  // (which must be the version derived from `from`).
+  // (which must be the version derived from `from`), in ascending id
+  // order. Only the instances on `from` are visited (InstanceStore::
+  // IdsOnBase), so a round costs what it examines however many versions
+  // the type has; the report lists exactly those instances.
   Result<MigrationReport> MigrateAll(SchemaId from, SchemaId to,
                                      const MigrationOptions& options = {});
 

@@ -486,26 +486,36 @@ Result<MigrationReport> AdeptSystem::Migrate(SchemaId from, SchemaId to,
                                              const MigrationOptions& options) {
   ADEPT_ASSIGN_OR_RETURN(MigrationReport report,
                          migration_manager_.MigrateAll(from, to, options));
-  if (!options.dry_run) {
-    // Bias-cancellation migrations rewrite instance markings wholesale
-    // (no per-node events), which can strand work items referencing
-    // remapped node ids; reconcile before anyone claims a stale item.
-    if (worklists_ != nullptr) {
-      worklists_->ResyncAfterMigration(EngineInstances());
-    }
-    // Migration mutates instances below the facade's per-call hooks;
-    // republish the touched instances so the read path sees the new
-    // schema refs and remapped markings.
-    for (const auto& result : report.results) {
-      PublishSnapshot(result.id);
-    }
-    JsonValue record = JsonValue::MakeObject();
-    record.Set("t", JsonValue("migrate"));
-    record.Set("from", JsonValue(from.value()));
-    record.Set("to", JsonValue(to.value()));
-    record.Set("use_replay", JsonValue(options.use_replay_checker));
-    ADEPT_RETURN_IF_ERROR(Log(record));
+  // No instance on `from`: nothing changed, and replaying a record would
+  // find nothing either, so none is logged.
+  if (options.dry_run || report.results.empty()) return report;
+  // Bias-cancellation migrations rewrite instance markings wholesale
+  // (no per-node events), which can strand work items referencing
+  // remapped node ids; reconcile before anyone claims a stale item.
+  if (worklists_ != nullptr) {
+    worklists_->ResyncAfterMigration(
+        [&](const WorklistService::InstanceVisitor& visit) {
+          for (const auto& result : report.results) {
+            if (!ChangesInstance(result.outcome)) continue;
+            if (const ProcessInstance* instance = engine_.Find(result.id)) {
+              visit(*instance);
+            }
+          }
+        });
   }
+  // Migration mutates instances below the facade's per-call hooks;
+  // republish the changed instances so the read path sees the new schema
+  // refs and remapped markings. Instances that stay behind keep their
+  // snapshot, and with its version their cached checkpoint entry.
+  for (const auto& result : report.results) {
+    if (ChangesInstance(result.outcome)) PublishSnapshot(result.id);
+  }
+  JsonValue record = JsonValue::MakeObject();
+  record.Set("t", JsonValue("migrate"));
+  record.Set("from", JsonValue(from.value()));
+  record.Set("to", JsonValue(to.value()));
+  record.Set("use_replay", JsonValue(options.use_replay_checker));
+  ADEPT_RETURN_IF_ERROR(Log(record));
   return report;
 }
 
@@ -515,6 +525,8 @@ Result<MigrationReport> AdeptSystem::MigrateToLatest(
   if (versions.size() < 2) {
     return Status::FailedPrecondition("type has no newer version");
   }
+  // A pair with no instance on its source version costs Migrate a few
+  // repository lookups and logs nothing; it still carries the header.
   MigrationReport merged;
   for (size_t i = 1; i < versions.size(); ++i) {
     ADEPT_ASSIGN_OR_RETURN(MigrationReport step,

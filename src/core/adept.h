@@ -173,10 +173,15 @@ class AdeptSystem : public AdeptApi {
   Status ApplyAdHocChange(InstanceId id, Delta delta) override;
 
   // Propagates the type change `from` -> `to` to all running instances.
+  // Republishes (and resyncs the worklist for) only the instances the
+  // migration changed (ChangesInstance); a pair with no instance on `from`
+  // logs no WAL record.
   Result<MigrationReport> Migrate(
       SchemaId from, SchemaId to,
       const MigrationOptions& options = {}) override;
-  // Convenience: migrate every predecessor-version instance to the latest.
+  // Convenience: migrate every predecessor-version instance to the latest,
+  // one version pair after the other. The merged report spans the first
+  // version to the latest, whichever pairs had instances.
   Result<MigrationReport> MigrateToLatest(
       const std::string& type_name,
       const MigrationOptions& options = {}) override;
@@ -284,8 +289,7 @@ class AdeptSystem : public AdeptApi {
   Status AdoptInstanceFromJson(const JsonValue& ij);
   JsonValue SnapshotToJson(uint64_t wal_lsn) const;
   Status LoadSnapshotJson(const JsonValue& json, uint64_t* wal_lsn);
-  // Visits every engine instance: the worklist's offer derivation and its
-  // post-migration reconciliation.
+  // Visits every engine instance: the worklist's offer derivation.
   WorklistService::InstanceEnumerator EngineInstances();
   // Publishes `id`'s current state into the snapshot table (erases when
   // the instance is gone) and applies the publication delta to the query

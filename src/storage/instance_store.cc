@@ -22,17 +22,32 @@ Status InstanceStore::Register(InstanceId id, SchemaId base_schema,
     return Status::AlreadyExists("instance already registered");
   }
   ADEPT_RETURN_IF_ERROR(repository_->Get(base_schema).status());
-  Record record;
+  Record& record = records_[id];
   record.id = id;
-  record.base_schema = base_schema;
   record.strategy = strategy;
-  records_.emplace(id, std::move(record));
+  SetBase(record, base_schema);
   return Status::OK();
 }
 
 Status InstanceStore::Unregister(InstanceId id) {
-  if (records_.erase(id) == 0) return Status::NotFound("no such instance");
+  auto it = records_.find(id);
+  if (it == records_.end()) return Status::NotFound("no such instance");
+  Unindex(it->second);
+  records_.erase(it);
   return Status::OK();
+}
+
+void InstanceStore::Unindex(const Record& record) {
+  auto on_base = by_base_.find(record.base_schema);
+  if (on_base == by_base_.end()) return;
+  on_base->second.erase(record.id);
+  if (on_base->second.empty()) by_base_.erase(on_base);
+}
+
+void InstanceStore::SetBase(Record& record, SchemaId base) {
+  Unindex(record);
+  record.base_schema = base;
+  by_base_[base].insert(record.id);
 }
 
 Result<const InstanceStore::Record*> InstanceStore::Get(InstanceId id) const {
@@ -53,19 +68,27 @@ std::vector<InstanceId> InstanceStore::Ids() const {
   return out;
 }
 
-Status InstanceStore::Refresh(
-    Record& record, std::shared_ptr<const ProcessSchema> materialized) {
+std::vector<InstanceId> InstanceStore::IdsOnBase(SchemaId base) const {
+  auto on_base = by_base_.find(base);
+  if (on_base == by_base_.end()) return {};
+  return {on_base->second.begin(), on_base->second.end()};
+}
+
+Status InstanceStore::Install(Record& record, Delta bias,
+                              Delta::VerifiedSchema verified) {
   ADEPT_ASSIGN_OR_RETURN(std::shared_ptr<const ProcessSchema> base,
                          repository_->Get(record.base_schema));
+  record.bias = std::move(bias);
+  record.report = std::move(verified.report);
   switch (record.strategy) {
     case StorageStrategy::kOverlay:
       record.block = std::make_shared<const SubstitutionBlock>(
-          ComputeSubstitutionBlock(*base, *materialized));
+          ComputeSubstitutionBlock(*base, *verified.schema));
       record.full_copy = nullptr;
       break;
     case StorageStrategy::kFullCopy:
       record.block = nullptr;
-      record.full_copy = std::move(materialized);
+      record.full_copy = std::move(verified.schema);
       break;
     case StorageStrategy::kMaterializeOnDemand:
       record.block = nullptr;
@@ -105,24 +128,6 @@ Result<std::shared_ptr<const SchemaView>> InstanceStore::ViewFor(
   return Status::Internal("unknown storage strategy");
 }
 
-Status InstanceStore::Reapply(Record& record, SchemaId base_id, Delta bias) {
-  ADEPT_ASSIGN_OR_RETURN(std::shared_ptr<const ProcessSchema> base,
-                         repository_->Get(base_id));
-  // Seeded from the type schema's cached analysis with every op
-  // contributing its region: only the blocks the bias touches are
-  // re-verified, and no analysis is kept per instance.
-  ADEPT_ASSIGN_OR_RETURN(std::shared_ptr<const SchemaAnalysis> base_analysis,
-                         repository_->AnalysisFor(base_id));
-  BiasIdAllocator alloc;
-  ADEPT_ASSIGN_OR_RETURN(Delta::VerifiedSchema verified,
-                         bias.ApplyVerified(*base, base_analysis.get(),
-                                            base->version(), &alloc));
-  record.base_schema = base_id;
-  record.bias = std::move(bias);
-  record.report = std::move(verified.report);
-  return Refresh(record, std::move(verified.schema));
-}
-
 Result<std::shared_ptr<const SchemaView>> InstanceStore::AddBias(
     InstanceId id, Delta delta) {
   auto it = records_.find(id);
@@ -131,22 +136,40 @@ Result<std::shared_ptr<const SchemaView>> InstanceStore::AddBias(
   // Combined bias = existing ops (pinned) + new ops (fresh bias-range ids).
   Delta combined = record.bias.Clone();
   for (const auto& op : delta.ops()) combined.Add(op->Clone());
+  ADEPT_ASSIGN_OR_RETURN(std::shared_ptr<const ProcessSchema> base,
+                         repository_->Get(record.base_schema));
+  // Seeded from the type schema's cached analysis with every op
+  // contributing its region: only the blocks the bias touches are
+  // re-verified, and no analysis is kept per instance.
+  ADEPT_ASSIGN_OR_RETURN(std::shared_ptr<const SchemaAnalysis> base_analysis,
+                         repository_->AnalysisFor(record.base_schema));
+  BiasIdAllocator alloc;
+  ADEPT_ASSIGN_OR_RETURN(Delta::VerifiedSchema verified,
+                         combined.ApplyVerified(*base, base_analysis.get(),
+                                                base->version(), &alloc));
   ADEPT_RETURN_IF_ERROR(
-      Reapply(record, record.base_schema, std::move(combined)));
+      Install(record, std::move(combined), std::move(verified)));
   return ViewFor(record);
 }
 
 Result<std::shared_ptr<const SchemaView>> InstanceStore::Rebase(
-    InstanceId id, SchemaId new_base) {
+    InstanceId id, SchemaId new_base, Delta bias,
+    Delta::VerifiedSchema verified) {
   auto it = records_.find(id);
   if (it == records_.end()) return Status::NotFound("no such instance");
   Record& record = it->second;
+  ADEPT_RETURN_IF_ERROR(repository_->Get(new_base).status());
   if (!record.biased()) {
-    ADEPT_RETURN_IF_ERROR(repository_->Get(new_base).status());
-    record.base_schema = new_base;
+    SetBase(record, new_base);
     return ViewFor(record);
   }
-  ADEPT_RETURN_IF_ERROR(Reapply(record, new_base, record.bias.Clone()));
+  if (bias.empty() || verified.schema == nullptr) {
+    return Status::FailedPrecondition(
+        "rebasing a biased instance needs its bias verified over the new "
+        "base");
+  }
+  SetBase(record, new_base);
+  ADEPT_RETURN_IF_ERROR(Install(record, std::move(bias), std::move(verified)));
   return ViewFor(record);
 }
 
@@ -160,7 +183,7 @@ Result<std::shared_ptr<const SchemaView>> InstanceStore::ClearBias(
   record.block = nullptr;
   record.full_copy = nullptr;
   record.report = VerificationReport();
-  record.base_schema = new_base;
+  SetBase(record, new_base);
   return ViewFor(record);
 }
 

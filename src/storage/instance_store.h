@@ -19,6 +19,8 @@
 
 #include <map>
 #include <memory>
+#include <set>
+#include <vector>
 
 #include "change/delta.h"
 #include "common/ids.h"
@@ -70,6 +72,11 @@ class InstanceStore {
   bool IsBiased(InstanceId id) const;
   size_t size() const { return records_.size(); }
   std::vector<InstanceId> Ids() const;
+  // Ids of the instances based on `base`, in ascending order: the same
+  // list as filtering Ids() by Record::base_schema, read from an index
+  // kept by every base change, so a migration visits only its source
+  // version's instances.
+  std::vector<InstanceId> IdsOnBase(SchemaId base) const;
 
   // Extends the instance's bias by `delta` (ops get pinned bias-range ids),
   // verifies the combined schema, updates the representation, and returns
@@ -79,10 +86,16 @@ class InstanceStore {
   Result<std::shared_ptr<const SchemaView>> AddBias(InstanceId id,
                                                     Delta delta);
 
-  // Re-bases the instance onto `new_base` (migration), re-applying any bias
-  // with pinned ids. Same error contract as AddBias.
-  Result<std::shared_ptr<const SchemaView>> Rebase(InstanceId id,
-                                                   SchemaId new_base);
+  // Re-bases the instance onto `new_base` (migration). An unbiased
+  // instance just moves. A biased one installs `bias` and `verified`,
+  // which the caller produced by applying a clone of the record's bias
+  // (pinned ids, bias-range allocator, `new_base`'s version) over
+  // `new_base` with Delta::ApplyVerified: the migration's structural probe
+  // is the bias's only verification. kFailedPrecondition when a biased
+  // record gets no verified bias; the record is untouched on any error.
+  Result<std::shared_ptr<const SchemaView>> Rebase(
+      InstanceId id, SchemaId new_base, Delta bias = {},
+      Delta::VerifiedSchema verified = {});
 
   // Drops the instance's bias entirely and points it at `new_base`
   // (bias cancellation during migration of equivalent changes).
@@ -106,17 +119,19 @@ class InstanceStore {
   MemoryStats Memory() const;
 
  private:
-  // Verifies `bias` over schema version `base_id` and, on success,
-  // installs both plus the report and representation on `record`
-  // (untouched when the bias does not apply or fails verification).
-  Status Reapply(Record& record, SchemaId base_id, Delta bias);
-  // Rebuilds the cached representation of a biased record.
-  Status Refresh(Record& record,
-                 std::shared_ptr<const ProcessSchema> materialized);
+  // The only writer of Record::base_schema: moves the record's id between
+  // the by_base_ sets.
+  void SetBase(Record& record, SchemaId base);
+  void Unindex(const Record& record);
+  // Installs `bias`, verified over the record's base as `verified`: the
+  // ops, the report and the cached representation of a biased record.
+  Status Install(Record& record, Delta bias, Delta::VerifiedSchema verified);
   Result<std::shared_ptr<const SchemaView>> ViewFor(const Record& record) const;
 
   SchemaRepository* repository_;
   std::map<InstanceId, Record> records_;
+  // Ids per base schema; a base without instances has no entry.
+  std::map<SchemaId, std::set<InstanceId>> by_base_;
 };
 
 }  // namespace adept

@@ -111,8 +111,8 @@ struct WorklistStats {
 
 class WorklistService : public InstanceObserver {
  public:
-  // Visits every live instance (the cluster implements this by locking
-  // one shard at a time).
+  // Visits live instances: all of them to derive offers, the ones a
+  // migration changed to resync (the cluster locks one shard at a time).
   using InstanceVisitor = std::function<void(const ProcessInstance&)>;
   using InstanceEnumerator = std::function<void(const InstanceVisitor&)>;
 
@@ -201,9 +201,10 @@ class WorklistService : public InstanceObserver {
   // Reconciles the worklist with engine truth after a migration fan-out:
   // revokes live items whose node vanished from the (possibly remapped)
   // schema or is no longer Activated/Running, and offers Activated
-  // role-carrying activities without a live item. Runs per instance under
-  // that instance's shard lock (via `instances`), so it is exact even
-  // with concurrent traffic.
+  // role-carrying activities without a live item, for the instances
+  // `instances` visits: the ones the migration changed (ChangesInstance),
+  // or every instance when that is unknown. Runs per instance under that
+  // instance's shard lock, so it is exact even with concurrent traffic.
   void ResyncAfterMigration(const InstanceEnumerator& instances);
 
   // InstanceObserver (called under the owning shard's lock):

@@ -3,10 +3,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 
 #include "change/change_op.h"
 #include "core/adept.h"
+#include "model/serialization.h"
 #include "monitor/monitor.h"
 #include "storage/wal.h"
 #include "tests/test_fixtures.h"
@@ -393,6 +396,266 @@ TEST(AdeptSystemTest, WalRecoveryReplaysMigration) {
   auto recovered = AdeptSystem::Recover(options);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_EQ((*recovered)->SnapshotOf(inst_id)->schema->version(), 2);
+}
+
+// "audit" between "get order" and "collect data" of `schema`; as a type
+// change, as an ad-hoc bias equivalent to it, or (with `gift_wrap`) as a
+// bias that subsumes it.
+Delta InsertAudit(const ProcessSchema& schema, bool gift_wrap = false) {
+  Delta delta;
+  NewActivitySpec spec;
+  spec.name = "audit";
+  delta.Add(std::make_unique<SerialInsertOp>(
+      spec, schema.FindNodeByName("get order"),
+      schema.FindNodeByName("collect data")));
+  if (gift_wrap) {
+    NewActivitySpec wrap;
+    wrap.name = "gift wrap";
+    delta.Add(std::make_unique<SerialInsertOp>(
+        wrap, schema.FindNodeByName("pack goods"),
+        schema.FindNodeByName("deliver goods")));
+  }
+  return delta;
+}
+
+Delta DeleteAudit(const ProcessSchema& schema) {
+  Delta delta;
+  delta.Add(
+      std::make_unique<DeleteActivityOp>(schema.FindNodeByName("audit")));
+  return delta;
+}
+
+std::map<InstanceId, std::string> ExportAll(
+    const AdeptSystem& adept, const std::vector<InstanceId>& ids) {
+  std::map<InstanceId, std::string> out;
+  for (InstanceId id : ids) {
+    auto exported = adept.ExportInstance(id);
+    out[id] = exported.ok() ? exported->Dump() : exported.status().ToString();
+  }
+  return out;
+}
+
+// A mixed population (unbiased, disjoint-, conflicting-, equivalent- and
+// overlapping-biased, finished, progressed) through several MigrateToLatest
+// rounds, under every storage strategy. Migration republishes exactly the
+// instances it changed, installs the probe's verified bias, passes the
+// replay oracle, and leaves a state that WAL replay and a checkpoint
+// (whose cache keys on snapshot versions) both reproduce.
+TEST(AdeptSystemTest, MigrateToLatestKeepsPublishedAndDurableStateExact) {
+  for (StorageStrategy strategy :
+       {StorageStrategy::kOverlay, StorageStrategy::kFullCopy,
+        StorageStrategy::kMaterializeOnDemand}) {
+    SCOPED_TRACE(StorageStrategyToString(strategy));
+    TempDir dir;
+    AdeptOptions options = DurableOptions(dir);
+    options.default_strategy = strategy;
+    auto system = AdeptSystem::Create(options);
+    ASSERT_TRUE(system.ok());
+    AdeptSystem& adept = **system;
+    auto v1 = OnlineOrderV1();
+    ASSERT_TRUE(adept.DeployProcessType(v1).ok());
+
+    std::vector<InstanceId> ids;
+    SimulationDriver driver({.seed = 17});
+    for (int i = 0; i < 42; ++i) {
+      auto created = adept.CreateInstance("online_order");
+      ASSERT_TRUE(created.ok());
+      const InstanceId id = *created;
+      ids.push_back(id);
+      Delta bias;
+      switch (i % 7) {
+        case 1: {  // disjoint from every type change below
+          NewActivitySpec spec;
+          spec.name = "gift wrap";
+          bias.Add(std::make_unique<SerialInsertOp>(
+              spec, v1->FindNodeByName("pack goods"),
+              v1->FindNodeByName("deliver goods")));
+          break;
+        }
+        case 2:  // deadlocks with Fig. 1's Delta-T (round 2)
+          bias.Add(std::make_unique<InsertSyncEdgeOp>(
+              v1->FindNodeByName("confirm order"),
+              v1->FindNodeByName("compose order")));
+          break;
+        case 3:  // equivalent to round 1: cancelled
+          bias = InsertAudit(*v1);
+          break;
+        case 5:  // subsumes round 1: semantic conflict
+          bias = InsertAudit(*v1, /*gift_wrap=*/true);
+          break;
+        default:
+          break;
+      }
+      if (!bias.empty()) {
+        ASSERT_TRUE(adept.ApplyAdHocChange(id, std::move(bias)).ok());
+      }
+      if (i % 7 == 4) {
+        ASSERT_TRUE(adept.DriveToCompletion(id, driver).ok());
+      } else {
+        for (int step = 0; step < (i / 7) % 5; ++step) {
+          ASSERT_TRUE(adept.DriveStep(id, driver).ok());
+        }
+      }
+    }
+    // Primes the checkpoint cache with every instance's serialization.
+    ASSERT_TRUE(adept.SaveSnapshot().ok());
+
+    MigrationOptions migration;
+    migration.verify_adaptation_with_replay = true;
+    std::map<MigrationOutcome, int> seen;
+    for (int round = 0; round < 4; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      auto latest = adept.LatestVersion("online_order");
+      ASSERT_TRUE(latest.ok());
+      auto schema = adept.Schema(*latest);
+      ASSERT_TRUE(schema.ok());
+      Delta change = round == 1   ? MakeTypeChange(**schema)
+                     : round == 2 ? DeleteAudit(**schema)
+                                  : InsertAudit(**schema);
+      ASSERT_TRUE(adept.EvolveProcessType(*latest, std::move(change)).ok());
+
+      std::map<InstanceId, uint64_t> versions;
+      for (InstanceId id : ids) versions[id] = adept.SnapshotOf(id)->version;
+      auto report = adept.MigrateToLatest("online_order", migration);
+      ASSERT_TRUE(report.ok()) << report.status();
+      EXPECT_EQ(report->Count(MigrationOutcome::kError), 0u);
+
+      // Only a migrated instance changes (kError is ruled out above).
+      std::set<InstanceId> changed;
+      for (const auto& result : report->results) {
+        ++seen[result.outcome];
+        if (result.outcome == MigrationOutcome::kMigrated ||
+            result.outcome == MigrationOutcome::kMigratedBiased ||
+            result.outcome == MigrationOutcome::kBiasCancelled) {
+          changed.insert(result.id);
+        }
+      }
+      for (InstanceId id : ids) {
+        auto snapshot = adept.SnapshotOf(id);
+        const ProcessInstance* live = adept.engine().Find(id);
+        ASSERT_NE(snapshot, nullptr);
+        ASSERT_NE(live, nullptr);
+        EXPECT_EQ(snapshot->schema_ref, live->schema_ref()) << id;
+        EXPECT_EQ(snapshot->marking, live->marking()) << id;
+        EXPECT_EQ(snapshot->biased, live->biased()) << id;
+        EXPECT_EQ(snapshot->trace_length,
+                  static_cast<int64_t>(live->trace().events().size()))
+            << id;
+        if (changed.count(id) == 0) {
+          EXPECT_EQ(snapshot->version, versions[id]) << id;
+        } else {
+          EXPECT_GT(snapshot->version, versions[id]) << id;
+        }
+      }
+
+      // A rebased bias is exactly what verifying it again over its new
+      // base yields.
+      for (const auto& result : report->results) {
+        if (result.outcome != MigrationOutcome::kMigratedBiased) continue;
+        auto record = adept.store().Get(result.id);
+        ASSERT_TRUE(record.ok());
+        auto base = adept.Schema((*record)->base_schema);
+        ASSERT_TRUE(base.ok());
+        auto analysis = adept.repository().AnalysisFor((*record)->base_schema);
+        ASSERT_TRUE(analysis.ok());
+        Delta again = (*record)->bias.Clone();
+        BiasIdAllocator alloc;
+        auto verified = again.ApplyVerified(**base, analysis->get(),
+                                            (*base)->version(), &alloc);
+        ASSERT_TRUE(verified.ok()) << verified.status();
+        EXPECT_EQ(again.ToJson().Dump(), (*record)->bias.ToJson().Dump());
+        EXPECT_EQ(verified->report.CanonicalString(),
+                  (*record)->report.CanonicalString());
+        auto view = adept.store().ExecutionSchema(result.id);
+        ASSERT_TRUE(view.ok());
+        EXPECT_EQ(SchemaToJson(*MaterializeView(**view)).Dump(),
+                  SchemaToJson(*MaterializeView(*verified->schema)).Dump())
+            << result.id;
+      }
+    }
+    for (MigrationOutcome outcome :
+         {MigrationOutcome::kMigrated, MigrationOutcome::kMigratedBiased,
+          MigrationOutcome::kBiasCancelled, MigrationOutcome::kStateConflict,
+          MigrationOutcome::kStructuralConflict,
+          MigrationOutcome::kSemanticConflict,
+          MigrationOutcome::kFinishedSkipped}) {
+      EXPECT_GT(seen[outcome], 0) << MigrationOutcomeToString(outcome);
+    }
+
+    // WAL replay (snapshot + logged migrations) reproduces every instance.
+    const std::map<InstanceId, std::string> expected = ExportAll(adept, ids);
+    TempDir copy;
+    AdeptOptions copy_options = DurableOptions(copy);
+    std::filesystem::copy_file(options.wal_path, copy_options.wal_path);
+    std::filesystem::copy_file(options.snapshot_path,
+                               copy_options.snapshot_path);
+    {
+      auto replayed = AdeptSystem::Recover(copy_options);
+      ASSERT_TRUE(replayed.ok()) << replayed.status();
+      EXPECT_EQ(ExportAll(**replayed, ids), expected);
+    }
+    // So does a checkpoint that reused cached serializations for the
+    // instances that stayed behind.
+    ASSERT_TRUE(adept.SaveSnapshot().ok());
+    system->reset();
+    auto recovered = AdeptSystem::Recover(options);
+    ASSERT_TRUE(recovered.ok()) << recovered.status();
+    EXPECT_EQ(ExportAll(**recovered, ids), expected);
+  }
+}
+
+// MigrateToLatest walks every version pair, but a pair with no instance on
+// its source version logs no `migrate` record; the merged report still
+// spans the first version to the latest.
+TEST(AdeptSystemTest, EmptyMigrationPairLogsNoRecord) {
+  TempDir dir;
+  AdeptOptions options = DurableOptions(dir);
+  std::vector<InstanceId> ids;
+  std::map<InstanceId, std::string> expected;
+  SchemaId v1_id, v2_id, v3_id;
+  {
+    auto system = AdeptSystem::Create(options);
+    ASSERT_TRUE(system.ok());
+    AdeptSystem& adept = **system;
+    auto v1 = OnlineOrderV1();
+    v1_id = *adept.DeployProcessType(v1);
+    for (int i = 0; i < 3; ++i) {
+      ids.push_back(*adept.CreateInstance("online_order"));
+    }
+    v2_id = *adept.EvolveProcessType(v1_id, InsertAudit(*v1));
+    auto first = adept.MigrateToLatest("online_order");
+    ASSERT_TRUE(first.ok()) << first.status();
+    ASSERT_EQ(first->MigratedTotal(), ids.size());
+
+    v3_id =
+        *adept.EvolveProcessType(v2_id, DeleteAudit(**adept.Schema(v2_id)));
+    auto second = adept.MigrateToLatest("online_order");
+    ASSERT_TRUE(second.ok()) << second.status();
+    EXPECT_EQ(second->from, v1_id);
+    EXPECT_EQ(second->from_version, 1);
+    EXPECT_EQ(second->to, v3_id);
+    EXPECT_EQ(second->to_version, 3);
+    EXPECT_EQ(second->results.size(), ids.size());
+    EXPECT_EQ(second->MigratedTotal(), ids.size());
+    expected = ExportAll(adept, ids);
+  }
+
+  auto records = WriteAheadLog::ReadAll(options.wal_path);
+  ASSERT_TRUE(records.ok());
+  std::vector<std::pair<SchemaId, SchemaId>> migrations;
+  for (const JsonValue& record : *records) {
+    if (record.Get("t").as_string() != "migrate") continue;
+    migrations.emplace_back(
+        SchemaId(static_cast<uint64_t>(record.Get("from").as_int())),
+        SchemaId(static_cast<uint64_t>(record.Get("to").as_int())));
+  }
+  const std::vector<std::pair<SchemaId, SchemaId>> logged = {{v1_id, v2_id},
+                                                             {v2_id, v3_id}};
+  EXPECT_EQ(migrations, logged);
+
+  auto recovered = AdeptSystem::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(ExportAll(**recovered, ids), expected);
 }
 
 TEST(AdeptSystemTest, CrashTruncatedWalRecoversPrefix) {

@@ -325,7 +325,31 @@ TEST_F(InstanceStoreTest, IncrementalBiasAccumulates) {
   EXPECT_EQ((*record)->bias.size(), 2u);
 }
 
-TEST_F(InstanceStoreTest, RebaseReappliesBias) {
+// What the migration's structural probe hands to InstanceStore::Rebase:
+// the record's bias re-applied over `to` with its pinned ids, verified
+// incrementally from `to`'s cached analysis.
+struct RebasedBias {
+  Delta bias;
+  Delta::VerifiedSchema verified;
+};
+
+Result<RebasedBias> VerifyBiasOver(SchemaRepository& repo,
+                                   const InstanceStore& store, InstanceId id,
+                                   SchemaId to) {
+  ADEPT_ASSIGN_OR_RETURN(const InstanceStore::Record* record, store.Get(id));
+  ADEPT_ASSIGN_OR_RETURN(std::shared_ptr<const ProcessSchema> target,
+                         repo.Get(to));
+  ADEPT_ASSIGN_OR_RETURN(std::shared_ptr<const SchemaAnalysis> analysis,
+                         repo.AnalysisFor(to));
+  RebasedBias out{record->bias.Clone(), {}};
+  BiasIdAllocator alloc;
+  ADEPT_ASSIGN_OR_RETURN(out.verified,
+                         out.bias.ApplyVerified(*target, analysis.get(),
+                                                target->version(), &alloc));
+  return out;
+}
+
+TEST_F(InstanceStoreTest, RebaseInstallsVerifiedBias) {
   InstanceStore store(&repo_);
   InstanceId id(9);
   ASSERT_TRUE(store.Register(id, v1_id_).ok());
@@ -340,11 +364,96 @@ TEST_F(InstanceStoreTest, RebaseReappliesBias) {
   auto v2_id = repo_.DeriveVersion(v1_id_, std::move(type_change));
   ASSERT_TRUE(v2_id.ok());
 
-  auto rebased = store.Rebase(id, *v2_id);
+  // A biased record cannot move without its bias verified over the new
+  // base, and stays where it was.
+  auto unverified = store.Rebase(id, *v2_id);
+  EXPECT_EQ(unverified.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ((*store.Get(id))->base_schema, v1_id_);
+  EXPECT_EQ(store.IdsOnBase(v1_id_), std::vector<InstanceId>{id});
+
+  auto probe = VerifyBiasOver(repo_, store, id, *v2_id);
+  ASSERT_TRUE(probe.ok()) << probe.status();
+  auto rebased = store.Rebase(id, *v2_id, std::move(probe->bias),
+                              std::move(probe->verified));
   ASSERT_TRUE(rebased.ok()) << rebased.status();
   // Both the type change and the bias are visible; the bias node keeps its id.
   EXPECT_TRUE((*rebased)->FindNodeByName("typed").valid());
   EXPECT_EQ((*rebased)->FindNodeByName("adhoc"), adhoc_id);
+  EXPECT_EQ((*store.Get(id))->base_schema, *v2_id);
+  EXPECT_TRUE(store.IdsOnBase(v1_id_).empty());
+  EXPECT_EQ(store.IdsOnBase(*v2_id), std::vector<InstanceId>{id});
+}
+
+// The base index against a brute-force filter over Ids(), after every step
+// of random Register/AddBias/Rebase/ClearBias/Unregister sequences.
+TEST_F(InstanceStoreTest, BaseIndexMatchesRecordsUnderRandomOps) {
+  std::vector<SchemaId> bases = {v1_id_};
+  std::string pred = "get order";
+  for (std::string name : {"typed1", "typed2", "typed3"}) {
+    auto latest = repo_.Get(bases.back());
+    ASSERT_TRUE(latest.ok());
+    auto derived = repo_.DeriveVersion(
+        bases.back(), OneSerialInsert(**latest, name, pred, "collect data"));
+    ASSERT_TRUE(derived.ok()) << derived.status();
+    bases.push_back(*derived);
+    pred = name;
+  }
+  const char* bias_edges[][2] = {{"pack goods", "deliver goods"},
+                                 {"confirm order", "and_join"},
+                                 {"collect data", "and_split"}};
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    InstanceStore store(&repo_);
+    Rng rng(seed);
+    for (int step = 0; step < 200; ++step) {
+      const InstanceId id(1 + rng.NextBelow(12));
+      const SchemaId base = bases[rng.NextIndex(bases.size())];
+      switch (rng.NextBelow(5)) {
+        case 0:
+          (void)store.Register(id, base);
+          break;
+        case 1: {
+          auto record = store.Get(id);
+          if (!record.ok()) break;
+          auto schema = repo_.Get((*record)->base_schema);
+          ASSERT_TRUE(schema.ok());
+          const auto& edge = bias_edges[rng.NextIndex(3)];
+          (void)store.AddBias(
+              id, OneSerialInsert(**schema, "b" + std::to_string(step),
+                                  edge[0], edge[1]));
+          break;
+        }
+        case 2: {
+          if (!store.IsBiased(id)) {
+            (void)store.Rebase(id, base);
+            break;
+          }
+          auto probe = VerifyBiasOver(repo_, store, id, base);
+          if (!probe.ok()) break;
+          ASSERT_TRUE(store
+                          .Rebase(id, base, std::move(probe->bias),
+                                  std::move(probe->verified))
+                          .ok());
+          break;
+        }
+        case 3:
+          (void)store.ClearBias(id, base);
+          break;
+        default:
+          (void)store.Unregister(id);
+          break;
+      }
+      for (SchemaId on : bases) {
+        std::vector<InstanceId> expected;
+        for (InstanceId candidate : store.Ids()) {
+          if ((*store.Get(candidate))->base_schema == on) {
+            expected.push_back(candidate);
+          }
+        }
+        ASSERT_EQ(store.IdsOnBase(on), expected)
+            << "seed " << seed << " step " << step << " base " << on;
+      }
+    }
+  }
 }
 
 TEST_F(InstanceStoreTest, MemoryStatsOrdering) {

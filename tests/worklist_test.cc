@@ -449,6 +449,94 @@ TEST_F(WorklistServiceTest, BulkMigrationRetractsOfferedAndClaimedOnce) {
   EXPECT_EQ(stats.claimed, 0u);
 }
 
+// Cluster version of org_test's StaleItemAfterBiasCancellationMigration:
+// bias cancellation remaps instance state without per-node events, so the
+// resync after MigrateToLatest must retract the item on the bias's node id
+// and offer the remapped activity, on every shard. The resync visits only
+// the instances the migration changed: a bystander on the same shard that
+// stays behind keeps its snapshot and its offer, under the same WorkItemId.
+TEST_F(WorklistServiceTest, StaleItemAfterBiasCancellationMigration) {
+  auto cluster = AdeptCluster::Create({.shards = 2});
+  ASSERT_TRUE(cluster.ok());
+  AdeptCluster& c = **cluster;
+  PopulateOrg(c);
+  WorklistService& worklist = c.Worklist();
+
+  // start -> a(clerk) -> b(clerk) -> d(packer) -> end
+  SchemaBuilder builder("bias_proc", 1);
+  const NodeId a = builder.Activity("a", {.role = clerk_});
+  const NodeId b = builder.Activity("b", {.role = clerk_});
+  builder.Activity("d", {.role = packer_});
+  auto schema = builder.Build();
+  ASSERT_TRUE(schema.ok());
+  auto v1 = c.DeployProcessType(*schema);
+  ASSERT_TRUE(v1.ok());
+  auto insert_x = [&] {
+    Delta delta;
+    NewActivitySpec spec;
+    spec.name = "x";
+    spec.role = clerk_;
+    delta.Add(std::make_unique<SerialInsertOp>(spec, a, b));
+    return delta;
+  };
+
+  // Instances 1 and 2 (one per shard) insert "x" ad hoc after completing
+  // "a": "x" is offered on its bias node id.
+  std::vector<InstanceId> biased;
+  for (int i = 0; i < 2; ++i) {
+    InstanceId id = *c.CreateInstance("bias_proc");
+    ASSERT_TRUE(c.StartActivity(id, a).ok());
+    ASSERT_TRUE(c.CompleteActivity(id, a).ok());
+    ASSERT_TRUE(c.ApplyAdHocChange(id, insert_x()).ok());
+    biased.push_back(id);
+  }
+  ASSERT_NE(c.ShardOf(biased[0]), c.ShardOf(biased[1]));
+  std::vector<WorkItem> stale = worklist.OffersFor(alice_);
+  ASSERT_EQ(stale.size(), 2u);
+
+  // Instance 3 shares instance 1's shard and is past "b": inserting "x"
+  // before it is a state conflict, so it stays behind with "d" offered.
+  InstanceId bystander = *c.CreateInstance("bias_proc");
+  ASSERT_EQ(c.ShardOf(bystander), c.ShardOf(biased[0]));
+  for (NodeId node : {a, b}) {
+    ASSERT_TRUE(c.StartActivity(bystander, node).ok());
+    ASSERT_TRUE(c.CompleteActivity(bystander, node).ok());
+  }
+  std::vector<WorkItem> kept = worklist.OffersFor(bob_);
+  ASSERT_EQ(kept.size(), 1u);
+  const uint64_t bystander_version = c.SnapshotOf(bystander)->version;
+
+  // The type evolves by the same insert: both biases are cancelled.
+  ASSERT_TRUE(c.EvolveProcessType(*v1, insert_x()).ok());
+  auto report = c.MigrateToLatest("bias_proc");
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_EQ(report->Count(MigrationOutcome::kBiasCancelled), 2u);
+  ASSERT_EQ(report->Count(MigrationOutcome::kStateConflict), 1u);
+
+  for (const WorkItem& item : stale) {
+    EXPECT_EQ(worklist.Claim(item.id, alice_).code(), StatusCode::kNotFound);
+  }
+  std::vector<WorkItem> remapped = worklist.OffersFor(alice_);
+  ASSERT_EQ(remapped.size(), 2u);
+  for (const WorkItem& item : remapped) {
+    auto snapshot = c.SnapshotOf(item.instance);
+    ASSERT_NE(snapshot, nullptr);
+    EXPECT_FALSE(snapshot->biased);
+    const Node* node = snapshot->schema->FindNode(item.node);
+    ASSERT_NE(node, nullptr);
+    EXPECT_EQ(node->name, "x");
+    EXPECT_EQ(snapshot->marking.node(item.node), NodeState::kActivated);
+    EXPECT_TRUE(worklist.Claim(item.id, alice_).ok());
+  }
+
+  std::vector<WorkItem> after = worklist.OffersFor(bob_);
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after[0].id, kept[0].id);
+  EXPECT_EQ(after[0].instance, bystander);
+  EXPECT_EQ(c.SnapshotOf(bystander)->version, bystander_version);
+  EXPECT_TRUE(worklist.Claim(kept[0].id, bob_).ok());
+}
+
 TEST_F(WorklistServiceTest, AdHocDeletionRetractsClaimedItem) {
   auto cluster = AdeptCluster::Create({.shards = 2});
   ASSERT_TRUE(cluster.ok());
