@@ -7,10 +7,11 @@
 //                              Arg(0) = total open items
 //   BM_WorklistClaimContention N threads race Claim()+Release() over a
 //                              shared pool — exercises the exactly-once
-//                              compare-and-swap and the claim journal's
-//                              group commit; Arg(0) = journal mode
-//                              (0 none, 1 flush, 2 fsync), ->Threads(N)
-//                              sets the claimer count
+//                              compare-and-swap and the group commit of
+//                              the claim records on the shard WALs;
+//                              Arg(0) = the shard WALs' SyncMode (0 none,
+//                              1 flush, 2 fsync), ->Threads(N) sets the
+//                              claimer count
 //   BM_WorklistRevocationStorm one bulk MigrateToLatest() that demotes
 //                              the offered/claimed activity of every
 //                              instance — Arg(0) instances, half claimed
@@ -167,11 +168,9 @@ BENCHMARK(BM_WorklistOfferFanout)
 std::atomic<uint64_t> g_cursor{0};
 
 void SetUpClaimContention(const benchmark::State& state) {
-  const int mode = static_cast<int>(state.range(0));
   g_cursor.store(0);
-  g_bench = MakeBenchCluster(
-      1024, 8, mode == 0 ? std::string() : "adept_bench_worklist",
-      static_cast<SyncMode>(mode == 0 ? 0 : mode));
+  g_bench = MakeBenchCluster(1024, 8, "adept_bench_worklist",
+                             static_cast<SyncMode>(state.range(0)));
 }
 
 void TearDownClaimContention(const benchmark::State&) {
@@ -205,15 +204,15 @@ void BM_WorklistClaimContention(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(won));
   state.counters["claimers"] =
       benchmark::Counter(state.threads(), benchmark::Counter::kAvgThreads);
-  state.counters["journal"] = benchmark::Counter(
+  state.counters["sync_mode"] = benchmark::Counter(
       static_cast<double>(state.range(0)), benchmark::Counter::kAvgThreads);
 }
 BENCHMARK(BM_WorklistClaimContention)
     ->Setup(SetUpClaimContention)
     ->Teardown(TearDownClaimContention)
-    ->Arg(0)  // no journal
-    ->Arg(1)  // group-commit flush
-    ->Arg(2)  // group-commit fsync
+    ->Arg(0)  // SyncMode::kNone
+    ->Arg(1)  // SyncMode::kFlush
+    ->Arg(2)  // SyncMode::kFsync
     ->Threads(1)
     ->Threads(2)
     ->Threads(4)

@@ -6,7 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "common/fs_util.h"
 #include "common/string_util.h"
 #include "worklist/worklist_service.h"
 
@@ -208,28 +207,24 @@ void AdeptCluster::RunParallel(std::vector<std::function<void()>> tasks) {
   pending.Wait();
 }
 
-Status AdeptCluster::AttachWorklist(bool recover) {
-  WorklistServiceOptions worklist_options;
-  if (!options_.wal_path.empty()) {
-    worklist_options.journal_path = options_.wal_path + ".worklist";
-  }
-  worklist_options.sync = options_.sync;
+void AdeptCluster::AttachWorklist(bool recover) {
   if (recover) {
-    ADEPT_ASSIGN_OR_RETURN(
-        worklist_,
-        WorklistService::Recover(
-            &org_, this, worklist_options,
-            [this](const WorklistService::InstanceVisitor& visitor) {
-              ForEachInstance(visitor);
-            }));
+    std::vector<const ClaimLedger*> ledgers;
+    for (auto& shard_ptr : shards_) {
+      ledgers.push_back(&shard_ptr->system->claims());
+    }
+    worklist_ = WorklistService::Recover(
+        &org_, this, {},
+        [this](const WorklistService::InstanceVisitor& visitor) {
+          ForEachInstance(visitor);
+        },
+        ledgers);
   } else {
-    ADEPT_ASSIGN_OR_RETURN(
-        worklist_, WorklistService::Create(&org_, this, worklist_options));
+    worklist_ = WorklistService::Create(&org_, this);
   }
   for (auto& shard_ptr : shards_) {
     shard_ptr->system->AddObserver(worklist_.get());
   }
-  return Status::OK();
 }
 
 Result<std::unique_ptr<AdeptCluster>> AdeptCluster::Create(
@@ -241,21 +236,13 @@ Result<std::unique_ptr<AdeptCluster>> AdeptCluster::Create(
       }));
   // A fresh cluster starts a fresh durable history at these paths. The
   // per-shard Create() calls reset shards 0..N-1, but a previous (larger)
-  // cluster may have left ".shard<k>" files beyond the count and an org
-  // file — Recover() probes for both and would resurrect the dead
-  // cluster's state into this one.
+  // cluster may have left ".shard<k>" files beyond the count — Recover()
+  // probes for them and would resurrect the dead cluster's state into
+  // this one.
   for (size_t k = cluster->shards_.size(); ShardFilesExist(options, k); ++k) {
     RemoveShardFiles(options, k);
   }
-  if (!options.wal_path.empty()) {
-    std::error_code ec;
-    std::filesystem::remove(options.wal_path + ".org", ec);
-    if (ec) {
-      return Status::Corruption("cannot discard stale org file '" +
-                                options.wal_path + ".org': " + ec.message());
-    }
-  }
-  ADEPT_RETURN_IF_ERROR(cluster->AttachWorklist(/*recover=*/false));
+  cluster->AttachWorklist(/*recover=*/false);
   return cluster;
 }
 
@@ -298,10 +285,25 @@ Result<std::unique_ptr<AdeptCluster>> AdeptCluster::Recover(
   ADEPT_RETURN_IF_ERROR(cluster->ReplicateSchemasToFreshShards(donors));
 
   // Redistribute every instance the requested routing places elsewhere
-  // (crash-window duplicates are deduped back to exactly one owner).
+  // (crash-window duplicates are deduped back to exactly one owner); each
+  // carries its claims along.
   Status moved = cluster->MoveMisplacedInstances(&donors);
   if (!moved.ok()) {
     return ResizeError(recorded, requested, moved.ToString());
+  }
+
+  // The org model as of the last checkpoint, which logged it into every
+  // shard, shard 0 first. A cluster that never checkpointed recovers an
+  // empty org, and the caller repopulates it.
+  for (auto& shard_ptr : cluster->shards_) {
+    const JsonValue& org = shard_ptr->system->logged_org();
+    if (org.is_null()) continue;
+    Status restored = cluster->org_.LoadFromJson(org);
+    if (!restored.ok()) {
+      return Status::Corruption("cannot restore the org model: " +
+                                restored.ToString());
+    }
+    break;
   }
 
   if (on_disk != 0 && on_disk != requested) {
@@ -310,9 +312,7 @@ Result<std::unique_ptr<AdeptCluster>> AdeptCluster::Recover(
     // donor files. Without snapshots the WAL-logged moves already carry
     // the new placement.
     if (!options.snapshot_path.empty()) {
-      for (auto& shard_ptr : cluster->shards_) {
-        ADEPT_RETURN_IF_ERROR(shard_ptr->system->SaveSnapshot());
-      }
+      ADEPT_RETURN_IF_ERROR(cluster->SaveSnapshotLocked());
     }
     for (size_t k = requested; k < on_disk; ++k) {
       donors[k - requested].reset();  // joins the WAL writer, closes files
@@ -324,16 +324,9 @@ Result<std::unique_ptr<AdeptCluster>> AdeptCluster::Recover(
   // shard after redistribution is damage, not a resize.
   ADEPT_RETURN_IF_ERROR(cluster->DeriveShardAllocators(recorded));
 
-  // Restore the durable org model (if the cluster ever checkpointed one)
-  // before the worklist rebuild; without an org file the historical
-  // contract applies — the application repopulates users/roles after
-  // Recover() in the same call order.
-  ADEPT_RETURN_IF_ERROR(cluster->RestoreOrg());
-
   // Rebuild open work items: offers from recovered instance state, claims
-  // from the worklist journal (both keyed by instance id — placement
-  // changes above do not disturb them).
-  ADEPT_RETURN_IF_ERROR(cluster->AttachWorklist(/*recover=*/true));
+  // from the shards' ledgers.
+  cluster->AttachWorklist(/*recover=*/true);
   return cluster;
 }
 
@@ -953,13 +946,25 @@ Status AdeptCluster::SaveSnapshotLocked() {
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mu);
+    // The org rides the shard's stream like a schema fan-out record, so
+    // the checkpoint covers it and standbys receive it.
+    ADEPT_RETURN_IF_ERROR(shard.system->LogOrg(org_));
     ADEPT_RETURN_IF_ERROR(shard.system->SaveSnapshot());
   }
-  // The checkpoint also persists the org model and rewrites the claim
-  // journal as one record per live claim — both keep Recover() exact
-  // while bounding the cluster's durable footprint at O(live state).
-  ADEPT_RETURN_IF_ERROR(PersistOrg());
-  return worklist_->CompactJournal();
+  return Status::OK();
+}
+
+Result<uint64_t> AdeptCluster::RecordClaim(
+    InstanceId id, NodeId node, UserId user, uint64_t epoch,
+    const std::function<Status()>& transition) {
+  ADEPT_RETURN_IF_ERROR(CheckTopology());
+  Shard& shard = *shards_[ShardOf(id)];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  return shard.system->RecordClaim(id, node, user, epoch, transition);
+}
+
+Status AdeptCluster::WaitClaimDurable(InstanceId id, uint64_t lsn) {
+  return WaitShardDurable(ShardOf(id), lsn);
 }
 
 // --- Replication -------------------------------------------------------------
@@ -1069,34 +1074,6 @@ JsonValue ClusterReplicationStatus::ToJson() const {
   j.Set("degraded", JsonValue(degraded()));
   j.Set("shards", std::move(shard_list));
   return j;
-}
-
-std::string AdeptCluster::OrgPath() const {
-  return options_.wal_path.empty() ? std::string()
-                                   : options_.wal_path + ".org";
-}
-
-Status AdeptCluster::PersistOrg() {
-  const std::string path = OrgPath();
-  if (path.empty()) return Status::OK();
-  return WriteFileAtomic(path, org_.ToJson().Dump());
-}
-
-Status AdeptCluster::RestoreOrg() {
-  const std::string path = OrgPath();
-  if (path.empty() || !std::filesystem::exists(path)) return Status::OK();
-  Status st = [&]() -> Status {
-    ADEPT_ASSIGN_OR_RETURN(std::string content, ReadFileToString(path));
-    ADEPT_ASSIGN_OR_RETURN(JsonValue json, JsonValue::Parse(content));
-    return org_.LoadFromJson(json);
-  }();
-  if (!st.ok()) {
-    return Status::Corruption(
-        "cannot restore the org model from '" + path + "': " + st.ToString() +
-        "; repair: restore the file, or remove it to fall back to "
-        "repopulating the org after Recover()");
-  }
-  return st;
 }
 
 void AdeptCluster::AddObserver(InstanceObserver* observer) {

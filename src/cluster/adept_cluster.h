@@ -29,8 +29,9 @@
 //                      the WAL record is enqueued under the shard lock, the
 //                      durability wait happens after the lock is released —
 //                      distinct shards overlap engine work with WAL I/O.
-//                      Recover() rebuilds every shard and re-derives the
-//                      per-shard id allocators.
+//                      Worklist claims and the org model ride the same
+//                      per-shard streams. Recover() rebuilds every shard
+//                      and re-derives the per-shard id allocators.
 //
 // SubmitBatch() is the scale-out entry point: heterogeneous operations are
 // grouped by owning shard and the groups execute in parallel on a small
@@ -184,16 +185,17 @@ class AdeptCluster : public AdeptApi {
 
   // Cluster-level organizational model backing Worklist(). Not internally
   // synchronized: populate users/roles before serving concurrent traffic.
-  // Durable: SaveSnapshot() persists it to "<wal_path>.org" and Recover()
-  // restores it (before the worklist rebuild). When no org file exists —
-  // the cluster never checkpointed — the historical contract applies:
-  // repopulate after Recover() in the same call order for stable ids.
+  // Durable as of the last SaveSnapshot(), which logs it into every
+  // shard's WAL before that shard checkpoints; Recover() restores it from
+  // the shards. A cluster that never checkpointed recovers an empty org:
+  // repopulate it after Recover() in the same call order for stable ids.
   OrgModel& org() { return org_; }
   const OrgModel& org() const { return org_; }
 
   // The cluster-wide concurrent worklist service. Subscribed to every
-  // shard's instance events; claim/start transitions are journaled to
-  // "<wal_path>.worklist" and rebuilt by Recover().
+  // shard's instance events; each claim is recorded in the claim ledger
+  // and WAL of the shard that owns its instance, and Recover() re-attaches
+  // them.
   WorklistService& Worklist() { return *worklist_; }
 
   // --- AdeptApi: schema management (fans out to every shard) ---------------
@@ -261,7 +263,15 @@ class AdeptCluster : public AdeptApi {
       const std::string& type_name,
       const MigrationOptions& options = {}) override;
 
-  // --- AdeptApi: durability --------------------------------------------------
+  // --- AdeptApi: worklist claims and durability ------------------------------
+
+  // RecordClaim runs under the owning shard's lock, like every record of
+  // that shard's WAL (WalWriter::Truncate's exclusion contract and the
+  // checkpoint rely on it).
+  Result<uint64_t> RecordClaim(
+      InstanceId id, NodeId node, UserId user, uint64_t epoch,
+      const std::function<Status()>& transition) override;
+  Status WaitClaimDurable(InstanceId id, uint64_t lsn) override;
 
   Status SaveSnapshot() override;
 
@@ -491,15 +501,9 @@ class AdeptCluster : public AdeptApi {
   // Whether any attached shard cannot commit (sets QueryResult::degraded).
   bool ReplicationDegraded() const;
 
-  // --- Org-model persistence -------------------------------------------------
-
-  std::string OrgPath() const;
-  Status PersistOrg();
-  Status RestoreOrg();
-
   // Body of SaveSnapshot() with schema_mu_ already held (Resize
-  // checkpoints while holding it): per-shard snapshots, org persistence,
-  // claim-journal compaction.
+  // checkpoints while holding it): logs the org into every shard, then
+  // checkpoints the shard.
   Status SaveSnapshotLocked();
   BatchResult ExecuteOpLocked(Shard& shard, size_t shard_index,
                               const BatchOp& op);
@@ -508,9 +512,10 @@ class AdeptCluster : public AdeptApi {
                                shards_.size());
   }
 
-  // Shared scaffold of Create()/Recover(): opens (or rebuilds) the
-  // worklist service and subscribes it to every shard.
-  Status AttachWorklist(bool recover);
+  // Shared scaffold of Create()/Recover(): builds (or rebuilds from the
+  // shards' claim ledgers) the worklist service and subscribes it to every
+  // shard.
+  void AttachWorklist(bool recover);
   // Reconciles the worklist with engine truth, one shard at a time under
   // its lock. Shard k visits only the instances its report `reports[k]`
   // says changed (ChangesInstance): the shared tail of Migrate() and

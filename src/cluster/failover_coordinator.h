@@ -32,9 +32,10 @@
 // protocol points; ResurrectOldPrimary / RejoinOldPrimaryAsReplica
 // exercise the two rejoin paths of a dead lineage's file set.
 //
-// What is NOT replicated (per src/repl/README.md): the org file and the
-// worklist claim journal are node-local, so a promotion loses claims and
-// re-derives offers from the recovered instance state.
+// Worklist claims and the org model ride the shard WALs (per
+// src/repl/README.md), so a promotion keeps every claim whose record
+// reached the target and re-derives offers from the recovered instance
+// state.
 
 #ifndef ADEPT_CLUSTER_FAILOVER_COORDINATOR_H_
 #define ADEPT_CLUSTER_FAILOVER_COORDINATOR_H_

@@ -40,6 +40,8 @@ Result<std::vector<ProcessInstance::DataWrite>> WritesFromJson(
 
 AdeptSystem::AdeptSystem(const AdeptOptions& options) : options_(options) {
   engine_.set_observer(&fanout_);
+  // The ledger drops a claim when its node's run ends, live and on replay.
+  fanout_.Add(&claims_);
 }
 
 Status AdeptSystem::OpenWalIfConfigured(uint64_t min_last_lsn,
@@ -446,8 +448,6 @@ Status AdeptSystem::ApplyAdHocChange(InstanceId id, Delta delta) {
   PublishSnapshot(id);
   // Serialize only the *applied* (pinned) ops this change appended — a
   // delta record against the bias the replayed prefix already rebuilt.
-  // (Historically the full cumulative bias was logged; replay still
-  // accepts those records, see ApplyWalRecord.)
   ADEPT_ASSIGN_OR_RETURN(const InstanceStore::Record* record, store_.Get(id));
   JsonValue ops = JsonValue::MakeArray();
   const auto& bias_ops = record->bias.ops();
@@ -473,13 +473,42 @@ WorklistService& AdeptSystem::worklists() {
   if (worklists_ == nullptr) {
     WorklistServiceOptions options;
     options.segments = 1;  // single-threaded facade: nothing to spread
-    // Without a journal path Recover only derives offers; it cannot fail.
     worklists_ = WorklistService::Recover(&org_, this, options,
-                                          EngineInstances())
-                     .value();
+                                          EngineInstances(), {&claims_});
     fanout_.Add(worklists_.get());
   }
   return *worklists_;
+}
+
+Status AdeptSystem::LogOrg(const OrgModel& org) {
+  logged_org_ = org.ToJson();
+  JsonValue record = JsonValue::MakeObject();
+  record.Set("t", JsonValue("org"));
+  record.Set("org", logged_org_);
+  return Log(record);
+}
+
+Result<uint64_t> AdeptSystem::RecordClaim(
+    InstanceId id, NodeId node, UserId user, uint64_t epoch,
+    const std::function<Status()>& transition) {
+  ADEPT_RETURN_IF_ERROR(transition());
+  claims_.Set(id, node, user, epoch);
+  JsonValue record;
+  if (user.valid()) {
+    record = ClaimLedger::EntryToJson(id, node, {user, epoch});
+    record.Set("t", JsonValue("claim"));
+  } else {
+    record = JsonValue::MakeObject();
+    record.Set("t", JsonValue("release"));
+    record.Set("id", JsonValue(id.value()));
+    record.Set("node", JsonValue(node.value()));
+  }
+  if (wal_ != nullptr) last_enqueued_lsn_ = wal_->Enqueue(record);
+  return last_enqueued_lsn_;
+}
+
+Status AdeptSystem::WaitClaimDurable(InstanceId /*id*/, uint64_t lsn) {
+  return WaitWalDurable(lsn);
 }
 
 Result<MigrationReport> AdeptSystem::Migrate(SchemaId from, SchemaId to,
@@ -489,6 +518,9 @@ Result<MigrationReport> AdeptSystem::Migrate(SchemaId from, SchemaId to,
   // No instance on `from`: nothing changed, and replaying a record would
   // find nothing either, so none is logged.
   if (options.dry_run || report.results.empty()) return report;
+  // A bias-cancelling migration remaps node ids without node events; drop
+  // the claims it stranded (replaying the record prunes the same ones).
+  claims_.Prune(engine_);
   // Bias-cancellation migrations rewrite instance markings wholesale
   // (no per-node events), which can strand work items referencing
   // remapped node ids; reconcile before anyone claims a stale item.
@@ -577,6 +609,9 @@ Status AdeptSystem::AdoptInstanceFromJson(const JsonValue& ij) {
   }
   (*adopted)->set_biased(biased);
   ADEPT_RETURN_IF_ERROR(RestoreInstanceState(**adopted, ij.Get("state")));
+  // An import carries the instance's claims (snapshot entries carry none:
+  // the snapshot holds the whole ledger).
+  ADEPT_RETURN_IF_ERROR(claims_.AddFromJson(ij.Get("claims")));
   // Live imports (cross-shard handover) must be readable immediately;
   // during recovery PublishSnapshot is a no-op and Recover() bulk-
   // publishes at the end.
@@ -619,6 +654,8 @@ JsonValue AdeptSystem::SnapshotToJson(uint64_t wal_lsn) const {
   // Swapping (not merging) also drops entries of evicted instances.
   checkpoint_cache_ = std::move(next_cache);
   j.Set("instances", std::move(instances));
+  j.Set("claims", claims_.ToJson());
+  if (!logged_org_.is_null()) j.Set("org", logged_org_);
   return j;
 }
 
@@ -634,13 +671,17 @@ Status AdeptSystem::LoadSnapshotJson(const JsonValue& json,
   for (const JsonValue& ij : json.Get("instances").as_array()) {
     ADEPT_RETURN_IF_ERROR(AdoptInstanceFromJson(ij));
   }
+  ADEPT_RETURN_IF_ERROR(claims_.AddFromJson(json.Get("claims")));
+  logged_org_ = json.Get("org");
   return Status::OK();
 }
 
 // --- Cross-shard instance migration ------------------------------------------
 
 Result<JsonValue> AdeptSystem::ExportInstance(InstanceId id) const {
-  return InstanceToJson(id);
+  ADEPT_ASSIGN_OR_RETURN(JsonValue exported, InstanceToJson(id));
+  exported.Set("claims", claims_.ToJson(id));
+  return exported;
 }
 
 Status AdeptSystem::ImportInstance(const JsonValue& exported) {
@@ -654,6 +695,7 @@ Status AdeptSystem::ImportInstance(const JsonValue& exported) {
 Status AdeptSystem::EvictInstance(InstanceId id) {
   ADEPT_RETURN_IF_ERROR(engine_.Remove(id));
   (void)store_.Unregister(id);
+  claims_.EraseInstance(id);
   // The cluster's epoch-checked read path retries a miss while a resize
   // is in flight, so erasing here never turns a live instance invisible:
   // by the time the routing epoch stabilizes, the import side's snapshot
@@ -679,8 +721,11 @@ Status AdeptSystem::SaveSnapshot() {
   }
   // The snapshot is built from in-memory state, which already reflects
   // every enqueued record, so it covers everything up to this LSN — even
-  // records the writer thread has not flushed yet.
+  // records the writer thread has not flushed yet. It keeps only the
+  // claims of live activities; nothing but a damaged or hand-edited log
+  // leaves others in the ledger.
   const uint64_t cover = wal_ != nullptr ? wal_->last_enqueued_lsn() : 0;
+  claims_.Prune(engine_);
   ADEPT_RETURN_IF_ERROR(
       WriteFileAtomic(options_.snapshot_path, SnapshotToJson(cover).Dump()));
   if (wal_ != nullptr) {
@@ -732,12 +777,22 @@ Status AdeptSystem::ApplyWalRecord(const JsonValue& record) {
     // Tolerate an already-absent instance: an evict whose import side was
     // checkpointed away replays against a shard that never re-created it.
     InstanceId evicted(static_cast<uint64_t>(record.Get("id").as_int()));
+    claims_.EraseInstance(evicted);
     if (engine_.Find(evicted) == nullptr) return Status::OK();
     (void)store_.Unregister(evicted);
     return engine_.Remove(evicted);
   }
+  if (type == "claim") return claims_.AddFromJson(record);
+  if (type == "org") {
+    logged_org_ = record.Get("org");
+    return Status::OK();
+  }
   InstanceId id(static_cast<uint64_t>(record.Get("id").as_int()));
   NodeId node(static_cast<uint32_t>(record.Get("node").as_int()));
+  if (type == "release") {
+    claims_.Set(id, node, UserId::Invalid(), 0);
+    return Status::OK();
+  }
   if (type == "act") {
     const std::string& ev = record.Get("ev").as_string();
     if (ev == "start") return StartActivity(id, node);
@@ -764,53 +819,28 @@ Status AdeptSystem::ApplyWalRecord(const JsonValue& record) {
   if (type == "adhoc") {
     ProcessInstance* instance = engine_.Find(id);
     if (instance == nullptr) return Status::NotFound("no such instance");
-    if (record.Has("delta")) {
-      // Delta record: the ops this change appended, applied on top of the
-      // bias the replayed prefix already rebuilt — same pinning order as
-      // the original execution.
-      ADEPT_ASSIGN_OR_RETURN(Delta ops, Delta::FromJson(record.Get("delta")));
-      return adept::ApplyAdHocChange(*instance, store_, std::move(ops));
+    // The ops this change appended, applied on top of the bias the
+    // replayed prefix already rebuilt — same pinning order as the original
+    // execution. A WAL is input from outside the program: refuse a record
+    // that carries no delta.
+    if (!record.Has("delta")) {
+      return Status::Corruption("ad-hoc record without a delta");
     }
-    // Legacy full-state record: the logged bias is cumulative. When the
-    // record's prefix matches the bias the replayed prefix already
-    // rebuilt (the common case: each record repeats the previous ops and
-    // appends one change), apply only the tail — reconstructing the
-    // original incremental application exactly, trace details included.
-    ADEPT_ASSIGN_OR_RETURN(Delta bias, Delta::FromJson(record.Get("bias")));
-    auto rec = store_.Get(id);
-    const size_t have =
-        rec.ok() && (*rec)->biased() ? (*rec)->bias.size() : 0;
-    bool prefix_matches = have <= bias.size();
-    for (size_t i = 0; prefix_matches && i < have; ++i) {
-      prefix_matches = (*rec)->bias.ops()[i]->ToJson().Dump() ==
-                       bias.ops()[i]->ToJson().Dump();
-    }
-    if (prefix_matches && have > 0) {
-      Delta tail;
-      for (size_t i = have; i < bias.size(); ++i) {
-        tail.Add(bias.ops()[i]->Clone());
-      }
-      if (tail.empty()) return Status::OK();  // record fully rebuilt already
-      return adept::ApplyAdHocChange(*instance, store_, std::move(tail));
-    }
-    // Divergent prefix (a hand-edited or partially-compacted log):
-    // rebuild the record's bias from scratch by clearing first.
-    if (have > 0) {
-      ADEPT_RETURN_IF_ERROR(
-          store_.ClearBias(id, (*rec)->base_schema).status());
-      instance->set_biased(false);
-    }
-    return adept::ApplyAdHocChange(*instance, store_, std::move(bias));
+    ADEPT_ASSIGN_OR_RETURN(Delta ops, Delta::FromJson(record.Get("delta")));
+    return adept::ApplyAdHocChange(*instance, store_, std::move(ops));
   }
   if (type == "migrate") {
     MigrationOptions options;
     options.use_replay_checker = record.Get("use_replay").as_bool();
-    return migration_manager_
-        .MigrateAll(
-            SchemaId(static_cast<uint64_t>(record.Get("from").as_int())),
-            SchemaId(static_cast<uint64_t>(record.Get("to").as_int())),
-            options)
-        .status();
+    ADEPT_RETURN_IF_ERROR(
+        migration_manager_
+            .MigrateAll(
+                SchemaId(static_cast<uint64_t>(record.Get("from").as_int())),
+                SchemaId(static_cast<uint64_t>(record.Get("to").as_int())),
+                options)
+            .status());
+    claims_.Prune(engine_);
+    return Status::OK();
   }
   return Status::Corruption("unknown WAL record type: " + type);
 }

@@ -11,6 +11,8 @@
 //   WorklistService    work items; worklists() builds the service on first
 //                      use (a cluster shard never does: the cluster's
 //                      Worklist() is the only worklist there)
+//   ClaimLedger        the durable claims on this system's instances, in
+//                      its WAL and snapshot (worklist/claim_ledger.h)
 //   monitor            Fig. 3 reports and visualization (separate headers)
 //   WAL + snapshots    durability: every state-changing call is logged via
 //                      a group-commit WalWriter (storage/wal_writer.h) with
@@ -44,6 +46,7 @@
 #include "storage/schema_repository.h"
 #include "storage/wal.h"
 #include "storage/wal_writer.h"
+#include "worklist/claim_ledger.h"
 #include "worklist/worklist_service.h"
 
 namespace adept {
@@ -198,7 +201,8 @@ class AdeptSystem : public AdeptApi {
   // exactly one owner.
 
   // Serializes the instance wholesale: base schema ref, storage strategy,
-  // bias delta, and full runtime state (marking, trace, data, loops).
+  // bias delta, full runtime state (marking, trace, data, loops) and its
+  // claims, which the import record carries to the destination's ledger.
   Result<JsonValue> ExportInstance(InstanceId id) const;
 
   // Adopts an exported instance under its original id. Fails
@@ -206,9 +210,9 @@ class AdeptSystem : public AdeptApi {
   // bias) must resolve against this system's repository.
   Status ImportInstance(const JsonValue& exported);
 
-  // Removes the instance from this system (engine + store). Fires no
-  // instance events: the work items of a moving instance must survive the
-  // handover untouched.
+  // Removes the instance (engine + store) and its claims from this system.
+  // Fires no instance events: the work items of a moving instance must
+  // survive the handover untouched.
   Status EvictInstance(InstanceId id);
 
   // Adopts a full schema repository image (SchemaRepository::ToJson) into
@@ -222,11 +226,31 @@ class AdeptSystem : public AdeptApi {
   OrgModel& org() { return org_; }
   const OrgModel& org() const { return org_; }
   // The standalone system's worklist. The first call builds it from the
-  // current instances — offers derived as on recovery, one segment, no
-  // claim journal — and subscribes it to every later instance event;
-  // Migrate() then reconciles it. A system that never calls this keeps
-  // no work items, which is what a cluster shard relies on.
+  // current instances and claim ledger, as on recovery (one segment), and
+  // subscribes it to every later instance event; Migrate() then
+  // reconciles it. A system that never calls this keeps no work items,
+  // which is what a cluster shard relies on.
   WorklistService& worklists();
+
+  // Logs `org` as this system's durable org model: SaveSnapshot carries
+  // the last one logged and Recover() restores it as logged_org(). A
+  // cluster logs its org into every shard before each checkpoint; nothing
+  // else does, so a standalone system's org() stays the caller's to fill.
+  Status LogOrg(const OrgModel& org);
+  // The org model as of the last LogOrg (null when none was logged).
+  const JsonValue& logged_org() const { return logged_org_; }
+
+  // --- Worklist claims -------------------------------------------------------
+
+  // The AdeptApi contract on this system's ledger. RecordClaim only
+  // enqueues its record, whatever defer_wal_sync says: WaitClaimDurable
+  // waits.
+  Result<uint64_t> RecordClaim(
+      InstanceId id, NodeId node, UserId user, uint64_t epoch,
+      const std::function<Status()>& transition) override;
+  Status WaitClaimDurable(InstanceId id, uint64_t lsn) override;
+  // The claims on this system's instances.
+  const ClaimLedger& claims() const { return claims_; }
 
   // Subscribes an additional observer to all instance events (monitoring).
   void AddObserver(InstanceObserver* observer) { fanout_.Add(observer); }
@@ -307,6 +331,8 @@ class AdeptSystem : public AdeptApi {
   InstanceStore store_{&repository_};
   MigrationManager migration_manager_{&engine_, &repository_, &store_};
   OrgModel org_;
+  JsonValue logged_org_;
+  ClaimLedger claims_;
   std::unique_ptr<WorklistService> worklists_;  // built by worklists()
   ObserverFanout fanout_;
   SnapshotTable snapshots_;

@@ -166,6 +166,27 @@ class AdeptApi {
   virtual Result<MigrationReport> MigrateToLatest(
       const std::string& type_name, const MigrationOptions& options = {}) = 0;
 
+  // --- Worklist claims -------------------------------------------------------
+  //
+  // A claim is durable state of the system that owns its instance: an entry
+  // of that system's claim ledger (worklist/claim_ledger.h), logged to its
+  // WAL. The WorklistService drives both calls.
+
+  // Runs `transition` under the lock that serializes instance `id`'s engine
+  // turn. When it returns OK, records `user`'s claim on (id, node) at
+  // activation `epoch` — an invalid `user` releases the claim — in the
+  // owner's ledger and enqueues the record; otherwise returns its error and
+  // records nothing. Returns the record's LSN (0 without a WAL), which
+  // WaitClaimDurable waits for.
+  virtual Result<uint64_t> RecordClaim(
+      InstanceId id, NodeId node, UserId user, uint64_t epoch,
+      const std::function<Status()>& transition) = 0;
+
+  // Waits until the record RecordClaim returned `lsn` for is durable: the
+  // wait of any write, so it includes the replica quorum when replication
+  // is attached.
+  virtual Status WaitClaimDurable(InstanceId id, uint64_t lsn) = 0;
+
   // --- Durability ------------------------------------------------------------
 
   // Writes a full snapshot and truncates the WAL (checkpoint).

@@ -39,10 +39,10 @@ class OrgModel {
   size_t user_count() const { return users_.size(); }
   size_t role_count() const { return roles_.size(); }
 
-  // Durability round trip (cluster recovery persists the org model to
-  // "<wal>.org" at checkpoint time): serializes roles, users, assignments,
-  // and the id counters, so restored ids are bit-identical to the
-  // originals. LoadFromJson requires an empty model.
+  // Durability round trip (a cluster checkpoint logs the org model into
+  // every shard's WAL): serializes roles, users, assignments, and the id
+  // counters, so restored ids are bit-identical to the originals.
+  // LoadFromJson requires an empty model.
   JsonValue ToJson() const;
   Status LoadFromJson(const JsonValue& json);
 

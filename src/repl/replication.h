@@ -39,10 +39,9 @@
 // above. Replicas adopt the primary's epoch when they accept a RESUME or
 // SNAPSHOT.
 //
-// What replicates: the per-shard engine WAL/snapshot pair only. The
-// cluster's org file and worklist claim journal are node-local — after a
-// failover, claims are lost and offers are re-derived from the recovered
-// instance state (see src/repl/README.md for the contract).
+// What replicates: the per-shard engine WAL/snapshot pair, and with it
+// the worklist claims and the org model, which ride the shard WALs (see
+// src/repl/README.md for the contract).
 //
 // Threading: one sender thread per peer; OnDurableBatch only appends to a
 // bounded in-memory tail buffer (the WalWriter contract: never block the

@@ -276,18 +276,6 @@ Status WriteAheadLog::Truncate() {
   return Status::OK();
 }
 
-Status WriteAheadLog::RenameTo(const std::string& new_path) {
-  std::error_code ec;
-  std::filesystem::rename(path_, new_path, ec);
-  if (ec) {
-    return Status::Corruption(StrFormat("cannot rename WAL '%s' to '%s': %s",
-                                        path_.c_str(), new_path.c_str(),
-                                        ec.message().c_str()));
-  }
-  path_ = new_path;
-  return Status::OK();
-}
-
 Result<WalTail> WriteAheadLog::ReadTail(const std::string& path,
                                         uint64_t after_lsn) {
   WalTail tail;

@@ -153,13 +153,6 @@ class WriteAheadLog {
   // so a snapshot's recorded coverage stays unambiguous.
   Status Truncate();
 
-  // Atomically renames the log file to `new_path` (replacing any file
-  // there); the open handle keeps writing to the same inode, so no frames
-  // are lost or reordered across the rename. Used by the checkpoint
-  // rewrite-and-swap compaction (WalWriter::Rewrite): build the compact
-  // replacement under a temp name, then swap it over the live path.
-  Status RenameTo(const std::string& new_path);
-
   const std::string& path() const { return path_; }
   size_t records_written() const { return records_written_; }
   // Highest LSN ever appended to (or recovered from) this log.

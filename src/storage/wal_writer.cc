@@ -1,7 +1,6 @@
 #include "storage/wal_writer.h"
 
 #include <algorithm>
-#include <filesystem>
 #include <utility>
 #include <vector>
 
@@ -136,47 +135,6 @@ Status WalWriter::Truncate() {
   return st;
 }
 
-Status WalWriter::Rewrite(const std::vector<JsonValue>& records) {
-  std::unique_lock<std::mutex> lock(mu_);
-  // Drain exactly like Truncate: with the queue empty, no batch in flight,
-  // and mu_ held, the writer thread is parked and cannot touch log_.
-  durable_cv_.wait(lock,
-                   [&] { return (queue_.empty() && !writing_) || stopped_; });
-  if (!queue_.empty() || writing_) {
-    return Status::Corruption("WAL writer stopped with a pending backlog");
-  }
-  // Build the replacement under a temp name; the live file stays intact
-  // until the rename, so a crash at any point here loses nothing.
-  const std::string tmp = path_ + ".rewrite";
-  std::error_code ec;
-  std::filesystem::remove(tmp, ec);
-  if (ec) {
-    return Status::Corruption("cannot clear rewrite temp '" + tmp +
-                              "': " + ec.message());
-  }
-  auto replacement = WriteAheadLog::Open(tmp);
-  if (!replacement.ok()) return replacement.status();
-  uint64_t lsn = next_lsn_;
-  for (const JsonValue& record : records) {
-    Status st = (*replacement)->AppendFrame(++lsn, record.Dump());
-    if (!st.ok()) return st;
-  }
-  Status synced = (*replacement)->Sync(options_.sync);
-  if (!synced.ok()) return synced;
-  // The atomic swap: the replacement's open handle follows the inode to
-  // the live path, so it simply becomes the log.
-  ADEPT_RETURN_IF_ERROR((*replacement)->RenameTo(path_));
-  log_ = std::move(*replacement);
-  next_lsn_ = lsn;
-  // Every outstanding ticket is covered by the caller's replacement
-  // records (the exclusion contract), and a prior I/O failure is repaired
-  // by the fresh file.
-  error_ = Status::OK();
-  durable_lsn_ = next_lsn_;
-  durable_cv_.notify_all();
-  return Status::OK();
-}
-
 uint64_t WalWriter::last_enqueued_lsn() const {
   std::lock_guard<std::mutex> lock(mu_);
   return next_lsn_;
@@ -225,7 +183,7 @@ void WalWriter::DrainBatchLocked(std::unique_lock<std::mutex>& lock) {
     error_ = st;
   }
   // Wake followers (one of them leads the next batch if the queue refilled
-  // during the I/O) and Truncate/Rewrite drains.
+  // during the I/O) and Truncate drains.
   durable_cv_.notify_all();
   if (!queue_.empty() && waiters_ == 0) work_cv_.notify_one();
 }
@@ -234,7 +192,7 @@ void WalWriter::WriterLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     // Drain of last resort: only runs for records nobody waits on
-    // (defer_wal_sync pipelining, fire-and-forget journal appends) — an
+    // (defer_wal_sync pipelining, a rolled-back claim's release) — an
     // active waiter is always the preferred leader. On shutdown the
     // backlog is drained here regardless.
     work_cv_.wait(lock, [&] {

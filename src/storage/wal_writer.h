@@ -16,14 +16,14 @@
 //
 // A background thread still exists, but only as the drain of last resort
 // for records nobody waits on — fire-and-forget Enqueue()s (the cluster's
-// defer_wal_sync pipelining, the worklist's engine-event journaling). It
-// wakes only when the queue is non-empty and no waiter is present, so it
-// never races a leader for the log.
+// defer_wal_sync pipelining, the release record of a rolled-back claim).
+// It wakes only when the queue is non-empty and no waiter is present, so
+// it never races a leader for the log.
 //
 // Threading: Enqueue/WaitDurable/Append are safe from any thread. The
 // underlying WriteAheadLog is touched only while `writing_` is held (by
 // the current leader or the background thread) or under mu_ with a
-// drained queue (Truncate/Rewrite).
+// drained queue (Truncate).
 //
 // Failure model: an I/O error is sticky. The failing batch and every later
 // WaitDurable whose LSN is not yet durable return the error; already-durable
@@ -121,20 +121,8 @@ class WalWriter {
   // (b) exclude concurrent Enqueue/Append for the duration — a record
   // enqueued mid-truncation could be deleted while its waiter is told it
   // is durable. AdeptSystem satisfies both (single-threaded engine turn;
-  // the cluster checkpoints under the shard lock).
+  // the cluster checkpoints, and records claims, under the shard lock).
   Status Truncate();
-
-  // Checkpoint compaction by replacement: drains the queue, then
-  // atomically swaps the log's contents for `records` (written to a
-  // "<path>.rewrite" temp file, synced per the configured SyncMode, and
-  // renamed over the live path — a crash mid-rewrite leaves the old file
-  // intact). The rewritten frames continue the existing LSN numbering, so
-  // outstanding WaitDurable tickets stay valid, and a success clears any
-  // sticky error. Same exclusion contract as Truncate: `records` must be
-  // the caller's authoritative replacement for everything logged so far,
-  // and no concurrent Enqueue/Append may run. The worklist service uses
-  // this to rewrite its claim journal as one record per live claim.
-  Status Rewrite(const std::vector<JsonValue>& records);
 
   // Attaches (or, with nullptr, detaches) the commit hook; see
   // WalCommitHook above for the delivery and lifetime contract. Frames
@@ -169,7 +157,7 @@ class WalWriter {
   const std::string path_;
   const WalWriterOptions options_;
   // Touched only while writing_ is held, or under mu_ after a drain
-  // (Truncate/Rewrite).
+  // (Truncate).
   std::unique_ptr<WriteAheadLog> log_;
 
   mutable std::mutex mu_;

@@ -1,7 +1,6 @@
 #include "verify/state_lint.h"
 
 #include <algorithm>
-#include <map>
 #include <vector>
 
 #include "common/fs_util.h"
@@ -9,7 +8,6 @@
 #include "common/string_util.h"
 #include "runtime/instance.h"
 #include "runtime/trace.h"
-#include "storage/wal.h"
 
 namespace adept {
 
@@ -58,37 +56,12 @@ void LintStuckActivities(const Engine& engine,
   }
 }
 
-// Replays the claim journal the way WorklistService::Recover does: the
-// last record per (instance, node) wins; claim/delegate/start leave a
-// live claim, release/close end it.
-Status LintOrphanedClaims(const Engine& engine,
-                          const StateLintOptions& options,
-                          VerificationReport* report) {
-  struct LiveClaim {
-    uint64_t user = 0;
-    bool live = false;
-  };
-  ADEPT_ASSIGN_OR_RETURN(
-      std::vector<WalRecord> records,
-      WriteAheadLog::ReadRecords(options.claims_journal_path));
-  std::map<std::pair<uint64_t, uint32_t>, LiveClaim> claims;
-  for (const WalRecord& record : records) {
-    const JsonValue& v = record.value;
-    const std::string& type = v.Get("t").as_string();
-    const std::pair<uint64_t, uint32_t> key{
-        static_cast<uint64_t>(v.Get("i").as_int()),
-        static_cast<uint32_t>(v.Get("n").as_int())};
-    if (type == "claim" || type == "delegate" || type == "start") {
-      claims[key] = {static_cast<uint64_t>(v.Get("u").as_int()), true};
-    } else if (type == "release" || type == "close") {
-      claims[key] = {0, false};
-    }
-  }
-
-  for (const auto& [key, claim] : claims) {
-    if (!claim.live) continue;
-    const InstanceId instance_id(key.first);
-    const NodeId node_id(key.second);
+// Every claim of the ledger whose activity is not live (see
+// ClaimLedger::Prune), with the reason.
+void LintOrphanedClaims(const Engine& engine, const ClaimLedger& claims,
+                        VerificationReport* report) {
+  claims.ForEach([&](InstanceId instance_id, NodeId node_id,
+                     const ClaimLedger::Entry& claim) {
     const ProcessInstance* instance = engine.Find(instance_id);
     const Node* node =
         instance == nullptr ? nullptr : instance->schema().FindNode(node_id);
@@ -99,10 +72,7 @@ Status LintOrphanedClaims(const Engine& engine,
       reason = "the node no longer exists in the instance's schema";
     } else {
       const NodeState state = instance->node_state(node_id);
-      if (state == NodeState::kActivated || state == NodeState::kRunning ||
-          state == NodeState::kSuspended) {
-        continue;  // claim still actionable
-      }
+      if (ClaimLedger::IsLive(state)) return;  // claim still actionable
       reason = StrFormat("the node's state is %s", NodeStateToString(state));
     }
     VerificationIssue issue;
@@ -115,15 +85,13 @@ Status LintOrphanedClaims(const Engine& engine,
     issue.message = StrFormat(
         "worklist claim by u%llu on %s (n%u) of instance I%llu is "
         "orphaned: %s",
-        static_cast<unsigned long long>(claim.user), subject.c_str(),
-        node_id.value(), static_cast<unsigned long long>(key.first),
+        static_cast<unsigned long long>(claim.user.value()), subject.c_str(),
+        node_id.value(), static_cast<unsigned long long>(instance_id.value()),
         reason.c_str());
     issue.fix_hint =
-        "release the claim, or checkpoint (SaveSnapshot compacts the "
-        "journal to live claims only)";
+        "checkpoint: SaveSnapshot keeps only the claims of live activities";
     report->Add(std::move(issue));
-  }
-  return Status::OK();
+  });
 }
 
 }  // namespace
@@ -187,12 +155,11 @@ void LintReplicationStatus(const JsonValue& status,
 }
 
 Result<VerificationReport> LintRuntimeState(const Engine& engine,
+                                            const ClaimLedger& claims,
                                             const StateLintOptions& options) {
   VerificationReport report;
   LintStuckActivities(engine, options, &report);
-  if (!options.claims_journal_path.empty()) {
-    ADEPT_RETURN_IF_ERROR(LintOrphanedClaims(engine, options, &report));
-  }
+  LintOrphanedClaims(engine, claims, &report);
   if (!options.repl_status_path.empty()) {
     ADEPT_ASSIGN_OR_RETURN(std::string blob,
                            ReadFileToString(options.repl_status_path));

@@ -13,12 +13,14 @@
 //                          Long-running steps are legal, so this is a
 //                          warning — but a worker that died mid-activity
 //                          looks exactly like this.
-//   AV012 orphaned-claim   The worklist claim journal holds a live claim
-//                          (claimed or started, never released/closed)
-//                          whose activity is no longer Activated or
-//                          Running — the node completed, was skipped, or
-//                          its instance is gone. The claim can never be
-//                          finished by its owner; release it.
+//   AV012 orphaned-claim   The system's claim ledger (the claims of its
+//                          own instances, ClaimLedger) holds a claim
+//                          whose activity is no longer live — the node
+//                          completed, was skipped, left the schema, or its
+//                          instance is gone. The owner can never finish
+//                          it and recovery does not re-attach it; a live
+//                          system drops such claims itself, so only a
+//                          damaged or hand-edited WAL leaves one behind.
 //   AV013 replication-     A shard of a ClusterReplicationStatus dump
 //         degraded         cannot commit: fenced by a newer epoch (error —
 //                          this lineage was deposed, stop routing writes
@@ -41,6 +43,7 @@
 
 #include "runtime/engine.h"
 #include "verify/verifier.h"
+#include "worklist/claim_ledger.h"
 
 namespace adept {
 
@@ -48,18 +51,17 @@ struct StateLintOptions {
   // AV011 fires when a Running activity saw this many trace events appended
   // after its last start without completing/failing/retrying.
   size_t stuck_after_events = 8;
-  // Worklist claim journal to replay for AV012 (the cluster writes it at
-  // "<wal_path>.worklist"). Empty: skip the claim rule.
-  std::string claims_journal_path;
   // JSON file holding a ClusterReplicationStatus dump for AV013. Empty:
   // skip the replication rule.
   std::string repl_status_path;
 };
 
-// Lints every instance of `engine` (and the claim journal / replication
-// status, if configured). Findings are deterministic: ordered by instance
-// id, then node id; AV013 findings by shard.
+// Lints every instance of `engine`, the claims of `claims` — the ledger of
+// the system `engine` belongs to (AdeptSystem::claims()) — and the
+// replication status, if configured. Findings are deterministic: ordered
+// by instance id, then node id; AV013 findings by shard.
 Result<VerificationReport> LintRuntimeState(const Engine& engine,
+                                            const ClaimLedger& claims,
                                             const StateLintOptions& options);
 
 // AV013 over one parsed ClusterReplicationStatus document (what

@@ -1,8 +1,5 @@
 #include "worklist/worklist_service.h"
 
-#include <algorithm>
-#include <filesystem>
-
 #include "model/node.h"
 
 namespace adept {
@@ -19,14 +16,6 @@ size_t Log2(size_t pow2) {
   size_t bits = 0;
   while ((size_t{1} << bits) < pow2) ++bits;
   return bits;
-}
-
-// Claimed/started items carry a claim-ledger entry in the journal; pure
-// offers do not (they are re-derived from instance state on recovery).
-bool CarriesClaim(const WorkItem& item) {
-  return item.claimed_by.valid() &&
-         (item.state == WorkItemState::kClaimed ||
-          item.state == WorkItemState::kStarted);
 }
 
 // The staff-assignment activity behind `node`, or nullptr when the node
@@ -62,7 +51,7 @@ const char* WorkItemStateToString(WorkItemState s) {
 
 WorklistService::WorklistService(const OrgModel* org, AdeptApi* api,
                                  const WorklistServiceOptions& options)
-    : org_(org), api_(api), options_(options) {
+    : org_(org), api_(api) {
   size_t segments = RoundUpPow2(options.segments);
   segment_mask_ = segments - 1;
   segment_bits_ = Log2(segments);
@@ -76,145 +65,46 @@ WorklistService::WorklistService(const OrgModel* org, AdeptApi* api,
 
 WorklistService::~WorklistService() = default;
 
-Status WorklistService::OpenJournal(bool fresh, const WalScan* prescan) {
-  if (options_.journal_path.empty()) return Status::OK();
-  WalWriterOptions writer_options;
-  writer_options.sync = options_.sync;
-  WalScan empty;
-  if (fresh) {
-    // A fresh service starts a fresh claim ledger — durably: discard any
-    // stale journal up front instead of parsing it just to truncate.
-    std::error_code ec;
-    std::filesystem::remove(options_.journal_path, ec);
-    if (ec) {
-      return Status::Corruption("cannot discard stale worklist journal '" +
-                                options_.journal_path + "': " + ec.message());
-    }
-    prescan = &empty;
-  }
-  ADEPT_ASSIGN_OR_RETURN(
-      journal_,
-      WalWriter::Open(options_.journal_path, writer_options, prescan));
-  return Status::OK();
-}
-
-Result<std::unique_ptr<WorklistService>> WorklistService::Create(
+std::unique_ptr<WorklistService> WorklistService::Create(
     const OrgModel* org, AdeptApi* api,
     const WorklistServiceOptions& options) {
-  std::unique_ptr<WorklistService> service(
+  return std::unique_ptr<WorklistService>(
       new WorklistService(org, api, options));
-  ADEPT_RETURN_IF_ERROR(service->OpenJournal(/*fresh=*/true, nullptr));
-  return service;
 }
 
-Result<std::unique_ptr<WorklistService>> WorklistService::Recover(
+std::unique_ptr<WorklistService> WorklistService::Recover(
     const OrgModel* org, AdeptApi* api, const WorklistServiceOptions& options,
-    const InstanceEnumerator& instances) {
-  std::unique_ptr<WorklistService> service(
-      new WorklistService(org, api, options));
-
-  WalScan scan;
-  if (!options.journal_path.empty()) {
-    ADEPT_ASSIGN_OR_RETURN(scan, WriteAheadLog::Scan(options.journal_path));
-  }
-
-  // 1. Derive offers from recovered instance state, and remember the
-  // current state of every role-carrying activity so the journal replay
-  // can tell which claims are still meaningful.
-  std::map<LiveKey, ActivityState> activity_states;
+    const InstanceEnumerator& instances,
+    const std::vector<const ClaimLedger*>& ledgers) {
+  std::unique_ptr<WorklistService> service = Create(org, api, options);
   instances([&](const ProcessInstance& instance) {
     for (const auto& [node, state] : instance.marking().node_states()) {
       const Node* n = OfferableActivity(instance.schema(), node);
       if (n == nullptr) continue;
-      uint64_t epoch = ActivationEpoch(instance, node);
-      activity_states[{instance.id().value(), node.value()}] = {
-          state, n->role, epoch};
-      if (state == NodeState::kActivated) {
+      const uint64_t epoch = ActivationEpoch(instance, node);
+      const ClaimLedger::Entry* claim = nullptr;
+      for (const ClaimLedger* ledger : ledgers) {
+        if (claim == nullptr) claim = ledger->Find(instance.id(), node);
+      }
+      // The attach filter. A claim whose run already completed carries a
+      // smaller epoch than its node's: it must not steal the offer of a
+      // later loop iteration. On an Activated node the claim survives and
+      // its owner (re)starts the run; a node in flight keeps its owner's
+      // started item; Completed/Skipped/NotActivated work is over.
+      if (claim != nullptr && claim->epoch == epoch &&
+          ClaimLedger::IsLive(state)) {
         service->CreateItem(instance.id(), node, n->role,
-                            WorkItemState::kOffered, UserId::Invalid(),
-                            epoch);
+                            state == NodeState::kActivated
+                                ? WorkItemState::kClaimed
+                                : WorkItemState::kStarted,
+                            claim->user, epoch);
+      } else if (state == NodeState::kActivated) {
+        service->CreateItem(instance.id(), node, n->role,
+                            WorkItemState::kOffered, UserId::Invalid(), epoch);
       }
     }
   });
-
-  // 2. Replay the claim journal on top of the derived offers.
-  service->ReplayJournal(scan.records, activity_states);
-
-  // 3. Reopen the writer off the same scan — one parse pass per recovery.
-  ADEPT_RETURN_IF_ERROR(service->OpenJournal(/*fresh=*/false, &scan));
   return service;
-}
-
-void WorklistService::ReplayJournal(
-    const std::vector<WalRecord>& records,
-    const std::map<LiveKey, ActivityState>& activity_states) {
-  struct Entry {
-    WorkItemState state = WorkItemState::kOffered;
-    UserId user;
-    uint64_t epoch = 0;
-    bool live = false;
-  };
-  std::map<LiveKey, Entry> entries;
-  for (const WalRecord& record : records) {
-    const JsonValue& v = record.value;
-    const std::string& type = v.Get("t").as_string();
-    LiveKey key{static_cast<uint64_t>(v.Get("i").as_int()),
-                static_cast<uint32_t>(v.Get("n").as_int())};
-    UserId user(static_cast<uint32_t>(v.Get("u").as_int()));
-    uint64_t epoch = static_cast<uint64_t>(v.Get("e").as_int());
-    Entry& e = entries[key];
-    if (type == "claim" || type == "delegate") {
-      e = {WorkItemState::kClaimed, user, epoch, true};
-    } else if (type == "start") {
-      e = {WorkItemState::kStarted, user, epoch, true};
-    } else if (type == "release") {
-      e = {WorkItemState::kOffered, UserId::Invalid(), 0, false};
-    } else if (type == "close") {
-      e = Entry{};  // claim cycle over; offers are derived, not replayed
-    }
-  }
-
-  for (const auto& [key, entry] : entries) {
-    if (!entry.live || !entry.user.valid()) continue;
-    auto found = activity_states.find(key);
-    if (found == activity_states.end()) continue;  // node/instance gone
-    const ActivityState& current = found->second;
-    // The epoch guard: a claim whose run already completed (its async
-    // close record was lost in the crash) carries a smaller epoch than
-    // the node's re-derived one — it must not steal the fresh offer of a
-    // later loop iteration.
-    if (entry.epoch != current.epoch) continue;
-    InstanceId instance(key.first);
-    NodeId node(key.second);
-    if (current.state == NodeState::kActivated) {
-      // The derived offer exists; attach the recovered claim to it. A
-      // started entry at the same epoch means the run never made it into
-      // the durable instance state: the claim survives (re-attached as
-      // claimed), the start does not — the owner restarts the activity.
-      size_t seg_index = SegmentOfKey(instance, node);
-      ItemSegment& seg = *item_segments_[seg_index];
-      std::lock_guard<std::mutex> lock(seg.mu);
-      auto live = seg.live.find({key.first, key.second});
-      if (live == seg.live.end()) continue;
-      auto it = seg.items.find(live->second.value());
-      if (it == seg.items.end() ||
-          it->second.state != WorkItemState::kOffered) {
-        continue;
-      }
-      it->second.state = WorkItemState::kClaimed;
-      it->second.claimed_by = entry.user;
-      IndexOfferRemove(it->second.role, it->second.id);
-      IndexUserAdd(entry.user, it->second.id);
-    } else if (current.state == NodeState::kRunning ||
-               current.state == NodeState::kSuspended ||
-               current.state == NodeState::kFailed) {
-      // The activity is in flight: the owner's in-progress item survives
-      // (a claimed entry whose start record was lost still owns the run).
-      CreateItem(instance, node, current.role, WorkItemState::kStarted,
-                 entry.user, current.epoch);
-    }
-    // Completed/Skipped/NotActivated: the work is over; nothing to keep.
-  }
 }
 
 // --- Segmentation / item table -----------------------------------------------
@@ -261,10 +151,6 @@ void WorklistService::EraseItemLocked(ItemSegment& seg, const WorkItem& item) {
   }
   if (item.claimed_by.valid()) IndexUserRemove(item.claimed_by, item.id);
   IndexInstanceRemove(item.instance, item.id);
-  if (CarriesClaim(item)) {
-    JournalAsync("close", item.instance, item.node, UserId::Invalid(),
-                 item.epoch);
-  }
   seg.live.erase({item.instance.value(), item.node.value()});
   seg.items.erase(item.id.value());
 }
@@ -323,121 +209,83 @@ void WorklistService::IndexInstanceRemove(InstanceId instance,
   if (it->second.empty()) seg.items.erase(it);
 }
 
-// --- Journal -----------------------------------------------------------------
-
-namespace {
-JsonValue JournalRecord(const char* type, InstanceId instance, NodeId node,
-                        UserId user, uint64_t epoch) {
-  JsonValue record = JsonValue::MakeObject();
-  record.Set("t", JsonValue(type));
-  record.Set("i", JsonValue(instance.value()));
-  record.Set("n", JsonValue(node.value()));
-  record.Set("u", JsonValue(user.valid() ? user.value() : 0));
-  record.Set("e", JsonValue(epoch));
-  return record;
-}
-}  // namespace
-
-void WorklistService::JournalAsync(const char* type, InstanceId instance,
-                                   NodeId node, UserId user, uint64_t epoch) {
-  if (journal_ == nullptr) return;
-  journal_->Enqueue(JournalRecord(type, instance, node, user, epoch));
-}
-
-uint64_t WorklistService::JournalEnqueueLocked(const char* type,
-                                               InstanceId instance,
-                                               NodeId node, UserId user,
-                                               uint64_t epoch) {
-  if (journal_ == nullptr) return 0;
-  return journal_->Enqueue(JournalRecord(type, instance, node, user, epoch));
-}
-
-Status WorklistService::WaitJournal(uint64_t lsn) {
-  if (journal_ == nullptr || lsn == 0) return Status::OK();
-  return journal_->WaitDurable(lsn);
-}
-
 // --- Claim lifecycle ---------------------------------------------------------
 
-Status WorklistService::Claim(WorkItemId item_id, UserId user) {
+Status WorklistService::ChangeClaim(
+    WorkItemId item_id, UserId owner, bool wait,
+    const std::function<Status(WorkItem&)>& transition) {
+  // An item's instance, node and epoch never change, so they can be read
+  // ahead of the owner's lock, which the lock order takes first.
+  ADEPT_ASSIGN_OR_RETURN(const WorkItem item, Get(item_id));
   ItemSegment& seg = *item_segments_[SegmentOfItem(item_id)];
-  RoleId role;
-  uint64_t lsn = 0;
-  {
-    std::lock_guard<std::mutex> lock(seg.mu);
-    auto it = seg.items.find(item_id.value());
-    if (it == seg.items.end()) return Status::NotFound("no such work item");
-    WorkItem& item = it->second;
-    // The compare-and-swap: exactly one concurrent claimer sees kOffered.
-    if (item.state != WorkItemState::kOffered) {
-      return Status::FailedPrecondition("work item is not offered");
-    }
-    if (!org_->UserHasRole(user, item.role)) {
-      return Status::FailedPrecondition(
-          "user does not hold the required role");
-    }
-    item.state = WorkItemState::kClaimed;
-    item.claimed_by = user;
-    IndexOfferRemove(item.role, item.id);
-    IndexUserAdd(user, item.id);
-    role = item.role;
-    // Enqueued under the lock so the journal's record order for this
-    // (instance, node) matches the transition order; never blocks.
-    lsn = JournalEnqueueLocked("claim", item.instance, item.node, user,
-                               item.epoch);
-  }
-  // Durability wait outside the segment lock: claims on other items (and
-  // other users) proceed while the group-commit batch flushes.
-  Status durable = WaitJournal(lsn);
-  if (!durable.ok()) {
-    // The claim was never granted: roll the in-memory state back (unless
-    // an engine event already moved the item on).
-    std::lock_guard<std::mutex> lock(seg.mu);
-    auto it = seg.items.find(item_id.value());
-    if (it != seg.items.end() &&
-        it->second.state == WorkItemState::kClaimed &&
-        it->second.claimed_by == user) {
-      it->second.state = WorkItemState::kOffered;
-      it->second.claimed_by = UserId::Invalid();
-      IndexUserRemove(user, item_id);
-      IndexOfferAdd(role, item_id);
-    }
-    return durable;
-  }
-  return Status::OK();
+  ADEPT_ASSIGN_OR_RETURN(
+      const uint64_t lsn,
+      api_->RecordClaim(item.instance, item.node, owner, item.epoch,
+                        [&]() -> Status {
+                          std::lock_guard<std::mutex> lock(seg.mu);
+                          auto it = seg.items.find(item_id.value());
+                          if (it == seg.items.end()) {
+                            return Status::NotFound("no such work item");
+                          }
+                          return transition(it->second);
+                        }));
+  // Outside every lock: claims on other items (and the shard's other
+  // writes) group-commit with this record.
+  return wait ? api_->WaitClaimDurable(item.instance, lsn) : Status::OK();
+}
+
+Status WorklistService::Claim(WorkItemId item_id, UserId user) {
+  bool granted = false;
+  Status durable =
+      ChangeClaim(item_id, user, /*wait=*/true, [&](WorkItem& item) -> Status {
+        // The compare-and-swap: exactly one concurrent claimer sees
+        // kOffered.
+        if (item.state != WorkItemState::kOffered) {
+          return Status::FailedPrecondition("work item is not offered");
+        }
+        if (!org_->UserHasRole(user, item.role)) {
+          return Status::FailedPrecondition(
+              "user does not hold the required role");
+        }
+        item.state = WorkItemState::kClaimed;
+        item.claimed_by = user;
+        IndexOfferRemove(item.role, item.id);
+        IndexUserAdd(user, item.id);
+        granted = true;
+        return Status::OK();
+      });
+  if (durable.ok() || !granted) return durable;
+  // The claim was never granted: roll it back unless an engine event
+  // already moved the item on. The release record keeps the ledger equal
+  // to its WAL; nobody waits for it.
+  (void)ReleaseClaim(item_id, user, /*wait=*/false);
+  return durable;
 }
 
 Status WorklistService::Release(WorkItemId item_id, UserId user) {
-  ItemSegment& seg = *item_segments_[SegmentOfItem(item_id)];
-  uint64_t lsn = 0;
-  {
-    std::lock_guard<std::mutex> lock(seg.mu);
-    auto it = seg.items.find(item_id.value());
-    if (it == seg.items.end()) return Status::NotFound("no such work item");
-    WorkItem& item = it->second;
-    if (item.state != WorkItemState::kClaimed || item.claimed_by != user) {
-      return Status::FailedPrecondition("work item is not claimed by user");
-    }
-    item.state = WorkItemState::kOffered;
-    item.claimed_by = UserId::Invalid();
-    IndexUserRemove(user, item.id);
-    IndexOfferAdd(item.role, item.id);
-    lsn = JournalEnqueueLocked("release", item.instance, item.node);
-  }
-  // No rollback on journal failure: the release stands in memory; after a
-  // crash the journal's last durable record wins (the user still owned
-  // the claim), which only errs toward keeping work assigned.
-  return WaitJournal(lsn);
+  // No rollback when the wait fails: the release stands in memory; after
+  // a crash the claim may come back, which only errs toward keeping work
+  // assigned.
+  return ReleaseClaim(item_id, user, /*wait=*/true);
+}
+
+Status WorklistService::ReleaseClaim(WorkItemId item_id, UserId user,
+                                     bool wait) {
+  return ChangeClaim(
+      item_id, UserId::Invalid(), wait, [&](WorkItem& item) {
+        if (item.state != WorkItemState::kClaimed || item.claimed_by != user) {
+          return Status::FailedPrecondition("work item is not claimed by user");
+        }
+        item.state = WorkItemState::kOffered;
+        item.claimed_by = UserId::Invalid();
+        IndexUserRemove(user, item.id);
+        IndexOfferAdd(item.role, item.id);
+        return Status::OK();
+      });
 }
 
 Status WorklistService::Delegate(WorkItemId item_id, UserId from, UserId to) {
-  ItemSegment& seg = *item_segments_[SegmentOfItem(item_id)];
-  uint64_t lsn = 0;
-  {
-    std::lock_guard<std::mutex> lock(seg.mu);
-    auto it = seg.items.find(item_id.value());
-    if (it == seg.items.end()) return Status::NotFound("no such work item");
-    WorkItem& item = it->second;
+  return ChangeClaim(item_id, to, /*wait=*/true, [&](WorkItem& item) {
     if (item.state != WorkItemState::kClaimed || item.claimed_by != from) {
       return Status::FailedPrecondition("work item is not claimed by user");
     }
@@ -448,10 +296,8 @@ Status WorklistService::Delegate(WorkItemId item_id, UserId from, UserId to) {
     item.claimed_by = to;
     IndexUserRemove(from, item.id);
     IndexUserAdd(to, item.id);
-    lsn = JournalEnqueueLocked("delegate", item.instance, item.node, to,
-                               item.epoch);
-  }
-  return WaitJournal(lsn);
+    return Status::OK();
+  });
 }
 
 Status WorklistService::Start(WorkItemId item_id, UserId user) {
@@ -470,7 +316,7 @@ Status WorklistService::Start(WorkItemId item_id, UserId user) {
     node = item.node;
   }
   // The engine turn runs under the owner shard's lock; its Activated ->
-  // Running event (same lock) marks the item started and journals it.
+  // Running event (same lock) marks the item started.
   return api_->StartActivity(instance, node);
 }
 
@@ -617,28 +463,6 @@ WorklistStats WorklistService::Stats() const {
   return stats;
 }
 
-// --- Checkpointing -----------------------------------------------------------
-
-Status WorklistService::CompactJournal() {
-  if (journal_ == nullptr) return Status::OK();
-  // Quiesce the claim lifecycle: with every segment lock held no journal
-  // record can be enqueued (all enqueues run under an item's segment
-  // lock), so the live-claim sweep and the rewrite see the same state.
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(item_segments_.size());
-  for (auto& seg : item_segments_) locks.emplace_back(seg->mu);
-  std::vector<JsonValue> records;
-  for (const auto& seg : item_segments_) {
-    for (const auto& [_, item] : seg->items) {
-      if (!CarriesClaim(item)) continue;
-      records.push_back(JournalRecord(
-          item.state == WorkItemState::kStarted ? "start" : "claim",
-          item.instance, item.node, item.claimed_by, item.epoch));
-    }
-  }
-  return journal_->Rewrite(records);
-}
-
 // --- Event subscription ------------------------------------------------------
 
 void WorklistService::OnNodeStateChange(const ProcessInstance& instance,
@@ -665,8 +489,6 @@ void WorklistService::OnNodeStateChange(const ProcessInstance& instance,
       // The claimer (or a delegate) started the activity: their item
       // moves to started and stays on their assignment list.
       item.state = WorkItemState::kStarted;
-      JournalAsync("start", item.instance, item.node, item.claimed_by,
-                   item.epoch);
     } else if (item.state == WorkItemState::kOffered) {
       // Started directly through the engine without a claim: the offer
       // simply closes (no claim ledger entry to cancel).
@@ -715,29 +537,15 @@ void WorklistService::ResyncAfterMigration(
       WorkItem& item = it->second;
       if (item.instance != instance.id()) continue;
       const Node* n = instance.schema().FindNode(item.node);
-      NodeState state = n == nullptr ? NodeState::kNotActivated
-                                     : instance.node_state(item.node);
-      bool ok = false;
-      switch (item.state) {
-        case WorkItemState::kOffered:
-          ok = state == NodeState::kActivated;
-          break;
-        case WorkItemState::kClaimed:
-          // A claimed item whose node is already Running was started by
-          // its owner concurrently; promote instead of revoking.
-          if (state == NodeState::kRunning) {
-            item.state = WorkItemState::kStarted;
-            JournalAsync("start", item.instance, item.node, item.claimed_by,
-                         item.epoch);
-            ok = true;
-          } else {
-            ok = state == NodeState::kActivated;
-          }
-          break;
-        case WorkItemState::kStarted:
-          ok = state == NodeState::kRunning ||
-               state == NodeState::kSuspended || state == NodeState::kFailed;
-          break;
+      const NodeState state = n == nullptr ? NodeState::kNotActivated
+                                           : instance.node_state(item.node);
+      bool ok = state == NodeState::kActivated;
+      if (item.state != WorkItemState::kOffered) {
+        // A claim lives while its node is live: the rule the owner's
+        // ledger prunes by. A claimed item whose node is already Running
+        // was started by its owner concurrently; promote it.
+        ok = ClaimLedger::IsLive(state);
+        if (state == NodeState::kRunning) item.state = WorkItemState::kStarted;
       }
       if (!ok) {
         revoked_total_.fetch_add(1, std::memory_order_relaxed);

@@ -3,9 +3,9 @@
 // Every worklist of the system is one of these. An AdeptCluster owns one,
 // subscribed to the instance events of every shard (shards keep none of
 // their own); a standalone AdeptSystem builds one on the first call of
-// worklists() (one segment, no claim journal). The paper's promise — all
-// adaptation complexity "is hidden from users", who only ever see a
-// consistent worklist — survives ad-hoc deletion, migration demotion, and
+// worklists() (one segment). The paper's promise — all adaptation
+// complexity "is hidden from users", who only ever see a consistent
+// worklist — survives ad-hoc deletion, migration demotion, and
 // bias-cancellation remaps because every retraction path funnels through
 // the same item table.
 //
@@ -27,19 +27,18 @@
 // per-user assignment indexes are sharded the same way; OffersFor reads
 // the role index instead of scanning the item table. Lock order:
 // shard.mu (cluster) -> item segment mu -> index mu; index mutexes are
-// leaves and never held while acquiring a segment.
+// leaves and never held while acquiring a segment. Claim, Release and
+// Delegate therefore take the owning shard's lock (AdeptApi::RecordClaim)
+// before the item's segment lock.
 //
-// Durability: claim-lifecycle transitions (claim/start/release/delegate/
-// close) are framed through a group-commit WalWriter ("<wal>.worklist").
-// Claim() waits for its journal record to be durable before granting the
-// claim (a granted claim survives a crash); transitions driven by engine
-// events only enqueue (a crash may demote a just-started item back to
-// claimed — never lose the owner). Offers carry no journal records: they
-// are re-derived from recovered instance state, and Recover() then replays
-// the compact claim journal on top (see Recover()). Claim records carry
-// the item's activation epoch (completed runs of the node at offer time),
-// so a claim whose async close record was lost in a crash can never be
-// re-attached to a later loop iteration's fresh offer.
+// Durability: a claim is state of its instance's owner. Claim, Release and
+// Delegate record it in the owning shard's claim ledger and WAL
+// (worklist/claim_ledger.h) and wait, as a write does, until the record is
+// durable; the ledger drops a claim when its node's run ends. Offers carry
+// no records: Recover() re-derives them from the recovered instance state
+// and re-attaches the ledgers' claims on top. A claim carries the item's
+// activation epoch (completed runs of the node at offer time), so it can
+// never be re-attached to a later loop iteration's offer.
 //
 // The OrgModel is read under the service's locks but is not itself
 // synchronized: populate users/roles before serving concurrent traffic.
@@ -64,8 +63,7 @@
 #include "org/org_model.h"
 #include "runtime/events.h"
 #include "runtime/instance.h"
-#include "storage/wal.h"
-#include "storage/wal_writer.h"
+#include "worklist/claim_ledger.h"
 
 namespace adept {
 
@@ -86,16 +84,11 @@ struct WorkItem {
   UserId claimed_by;
   // Activation epoch: completed runs of the node when the item was
   // offered. Distinguishes loop iterations of the same (instance, node)
-  // in the claim journal.
+  // in the claim ledger.
   uint64_t epoch = 0;
 };
 
 struct WorklistServiceOptions {
-  // Claim journal path; empty disables durability (claims die with the
-  // process).
-  std::string journal_path;
-  // Durability level of the journal's group-commit writer.
-  SyncMode sync = SyncMode::kFlush;
   // Internal segment count (rounded up to a power of two). More segments
   // = less contention between claims on unrelated items.
   int segments = 16;
@@ -116,23 +109,24 @@ class WorklistService : public InstanceObserver {
   using InstanceVisitor = std::function<void(const ProcessInstance&)>;
   using InstanceEnumerator = std::function<void(const InstanceVisitor&)>;
 
-  // Fresh service: truncates any existing journal at the configured path.
-  // `api` routes Start/Complete to wherever the instance lives; `org`
-  // answers role-membership checks. Both must outlive the service.
-  static Result<std::unique_ptr<WorklistService>> Create(
+  // Fresh service. `api` routes Start/Complete and the claim records to
+  // wherever the instance lives; `org` answers role-membership checks.
+  // Both must outlive the service.
+  static std::unique_ptr<WorklistService> Create(
       const OrgModel* org, AdeptApi* api,
       const WorklistServiceOptions& options = {});
 
   // Rebuilds open work items after a crash: offers are derived from the
-  // recovered instance state (`instances`), then the claim journal is
-  // replayed on top — a claimed item resurfaces claimed by its owner, a
-  // started item re-attaches to its Running node. The journal file is
-  // parsed exactly once (the same scan seeds the reopened writer). The
-  // caller attaches the returned service as an observer afterwards.
-  static Result<std::unique_ptr<WorklistService>> Recover(
+  // recovered instance state (`instances`), and each claim of `ledgers`
+  // (every instance owner's) re-attaches when its epoch matches its node's
+  // and the node is live — claimed while the node is Activated, started
+  // while it is Running, Suspended or Failed. The caller attaches the
+  // returned service as an observer afterwards.
+  static std::unique_ptr<WorklistService> Recover(
       const OrgModel* org, AdeptApi* api,
       const WorklistServiceOptions& options,
-      const InstanceEnumerator& instances);
+      const InstanceEnumerator& instances,
+      const std::vector<const ClaimLedger*>& ledgers);
 
   ~WorklistService() override;
   WorklistService(const WorklistService&) = delete;
@@ -144,8 +138,10 @@ class WorklistService : public InstanceObserver {
   // claimers: the state transition is a compare-and-swap under the item's
   // segment lock — exactly one caller wins, the rest get
   // kFailedPrecondition. kNotFound for unknown (or revoked-and-dropped)
-  // items. The claim is durable (per the journal's SyncMode) when this
-  // returns OK.
+  // items. The claim is durable in the owning shard's WAL, replica quorum
+  // included, when this returns OK; when that wait fails the claim is
+  // rolled back. A claim that failed with IsQuorumTimeout may still be in
+  // the WAL: like a maybe-applied write, it may survive a failover.
   Status Claim(WorkItemId item, UserId user);
 
   // Returns a claimed (not yet started) item to the offered pool.
@@ -186,21 +182,12 @@ class WorklistService : public InstanceObserver {
 
   WorklistStats Stats() const;
 
-  // --- Checkpointing --------------------------------------------------------
-
-  // Rewrites the claim journal as one record per live claim (claimed →
-  // "claim", started → "start"), bounding the file at O(live claims)
-  // instead of O(total claim history). Runs under quiescence — every item
-  // segment lock is held — and swaps the file atomically (temp + rename),
-  // so a crash mid-compaction keeps the full journal. AdeptCluster calls
-  // this from SaveSnapshot(); safe (and a no-op) without a journal.
-  Status CompactJournal();
-
   // --- Adaptation hooks -----------------------------------------------------
 
   // Reconciles the worklist with engine truth after a migration fan-out:
-  // revokes live items whose node vanished from the (possibly remapped)
-  // schema or is no longer Activated/Running, and offers Activated
+  // revokes offers whose node vanished from the (possibly remapped) schema
+  // or is no longer Activated, and claims whose node is no longer live
+  // (the rule the owner's ClaimLedger prunes by), and offers Activated
   // role-carrying activities without a live item, for the instances
   // `instances` visits: the ones the migration changed (ChangesInstance),
   // or every instance when that is unknown. Runs per instance under that
@@ -236,8 +223,6 @@ class WorklistService : public InstanceObserver {
   WorklistService(const OrgModel* org, AdeptApi* api,
                   const WorklistServiceOptions& options);
 
-  Status OpenJournal(bool fresh, const WalScan* prescan);
-
   size_t SegmentOfKey(InstanceId instance, NodeId node) const;
   size_t SegmentOfItem(WorkItemId item) const {
     return static_cast<size_t>(item.value()) & segment_mask_;
@@ -246,14 +231,14 @@ class WorklistService : public InstanceObserver {
   // Creates an item in `state` (segment lock must NOT be held). Updates
   // the role (offered only), user (claimed/started only), and instance
   // indexes. `epoch` is the node's activation epoch (completed runs at
-  // offer time); journaled with claims so replay never attaches a stale
+  // offer time); recorded with claims so recovery never attaches a stale
   // claim to a later loop iteration's offer. Returns the new id, or the
   // existing live item's id.
   WorkItemId CreateItem(InstanceId instance, NodeId node, RoleId role,
                         WorkItemState state, UserId user, uint64_t epoch);
 
   // Erases `item` from its segment and all indexes; `seg.mu` must be
-  // held. Journals a close record when the item carried a claim.
+  // held.
   void EraseItemLocked(ItemSegment& seg, const WorkItem& item);
 
   void IndexOfferAdd(RoleId role, WorkItemId item);
@@ -263,21 +248,15 @@ class WorklistService : public InstanceObserver {
   void IndexInstanceAdd(InstanceId instance, WorkItemId item);
   void IndexInstanceRemove(InstanceId instance, WorkItemId item);
 
-  // Fire-and-forget journal append (engine-event transitions). Like
-  // every journal enqueue, it must run under the item's segment lock so
-  // the journal's per-(instance, node) record order matches the real
-  // transition order — replay keeps the last record per key, so an
-  // inversion would let a stale release/close overwrite a durably
-  // granted claim.
-  void JournalAsync(const char* type, InstanceId instance, NodeId node,
-                    UserId user = UserId::Invalid(), uint64_t epoch = 0);
-  // Enqueues a record (segment lock held) and returns its LSN ticket
-  // (0 when no journal is configured); callers WaitJournal() outside the
-  // lock so the group-commit flush never blocks other claims.
-  uint64_t JournalEnqueueLocked(const char* type, InstanceId instance,
-                                NodeId node, UserId user = UserId::Invalid(),
-                                uint64_t epoch = 0);
-  Status WaitJournal(uint64_t lsn);
+  // Applies `transition` to the live item under its owner's lock and then
+  // its segment lock; when that returns OK, records `owner` (none when
+  // invalid) in the owner's claim ledger and, if `wait`, waits until the
+  // record is durable. The owner's lock orders the record in its WAL
+  // after every earlier transition of the instance.
+  Status ChangeClaim(WorkItemId item, UserId owner, bool wait,
+                     const std::function<Status(WorkItem&)>& transition);
+  // Release() and the rollback of a claim whose wait failed.
+  Status ReleaseClaim(WorkItemId item, UserId user, bool wait);
 
   // Copies the items named by `ids`, keeping those that satisfy `keep`.
   std::vector<WorkItem> SnapshotItems(
@@ -290,26 +269,14 @@ class WorklistService : public InstanceObserver {
   std::vector<WorkItem> OffersForImpl(UserId user,
                                       const CompiledQuery* predicate) const;
 
-  // Recovery: replays the scanned journal onto freshly derived offers.
-  struct ActivityState {
-    NodeState state = NodeState::kNotActivated;
-    RoleId role;
-    uint64_t epoch = 0;  // completed runs per the recovered trace
-  };
-  void ReplayJournal(
-      const std::vector<WalRecord>& records,
-      const std::map<LiveKey, ActivityState>& activity_states);
-
   const OrgModel* org_;
   AdeptApi* api_;
-  WorklistServiceOptions options_;
   size_t segment_mask_ = 0;   // segment count - 1 (power of two)
   size_t segment_bits_ = 0;   // id = (seq << bits) | segment
   std::vector<std::unique_ptr<ItemSegment>> item_segments_;
   std::vector<std::unique_ptr<RoleSegment>> role_segments_;
   std::vector<std::unique_ptr<UserSegment>> user_segments_;
   std::vector<std::unique_ptr<InstanceSegment>> instance_segments_;
-  std::unique_ptr<WalWriter> journal_;
   std::atomic<size_t> revoked_total_{0};
   std::atomic<size_t> completed_total_{0};
 };

@@ -12,8 +12,11 @@
 //   - exactly one epoch-fenced primary lineage per shard: the promoted
 //     view's epoch strictly dominates, and a resurrected old primary
 //     fails every write with IsFenced();
-//   - worklist claims intact on schedules that never kill a node (claims
-//     are node-local by contract and are lost on failover).
+//   - claims survive failover: claims ride the WAL of the shard that owns
+//     their instance, so every Claim() that returned OK before a kill is
+//     owned by the same user, in the same state, on the promoted primary
+//     (schedules 1 and 4; schedule 2 kills nobody and checks its claim
+//     on the same primary).
 //
 // The schedules:
 //
@@ -120,6 +123,86 @@ bool InstanceExists(AdeptCluster& cluster, InstanceId id) {
   return cluster.WithInstance(id, [](const ProcessInstance&) {}).ok();
 }
 
+// A claim whose Claim() (and Start(), when started) returned OK.
+struct AckedClaim {
+  InstanceId instance;
+  NodeId node;
+  UserId user;
+  WorkItemState state;
+};
+
+// Staff and a role-routed process for the claim invariant: one clerk
+// role, `users` clerks. Populating in the same order yields the same ids.
+std::vector<UserId> AddClerks(AdeptCluster& cluster, int users) {
+  OrgModel& org = cluster.org();
+  RoleId clerk = *org.AddRole("clerk");
+  std::vector<UserId> clerks;
+  for (int u = 0; u < users; ++u) {
+    UserId user = *org.AddUser("clerk" + std::to_string(u));
+    EXPECT_TRUE(org.AssignRole(user, clerk).ok());
+    clerks.push_back(user);
+  }
+  return clerks;
+}
+
+std::shared_ptr<const ProcessSchema> ClaimedSchema(const OrgModel& org) {
+  SchemaBuilder builder("claimed_proc", 1);
+  builder.Activity("prepare", {.role = *org.FindRole("clerk")});
+  builder.Activity("ship", {.role = *org.FindRole("clerk")});
+  auto schema = builder.Build();
+  return schema.ok() ? *schema : nullptr;
+}
+
+// Creates `count` claimed_proc instances through the client and claims
+// each one's offer on `cluster`, round-robin over `clerks`; every other
+// claim is also started. Appends the new ids to `acked`.
+std::vector<AckedClaim> ClaimSome(AdeptCluster& cluster, ClusterClient& client,
+                                  const std::vector<UserId>& clerks,
+                                  int count, std::vector<InstanceId>* acked) {
+  std::vector<AckedClaim> claims;
+  WorklistService& worklist = cluster.Worklist();
+  for (int i = 0; i < count; ++i) {
+    auto id = client.Create("claimed_proc");
+    EXPECT_TRUE(id.ok()) << id.status();
+    if (!id.ok()) return claims;
+    acked->push_back(*id);
+    const UserId user = clerks[static_cast<size_t>(i) % clerks.size()];
+    for (const WorkItem& offer : worklist.OffersFor(user)) {
+      if (offer.instance != *id) continue;
+      Status claimed = worklist.Claim(offer.id, user);
+      EXPECT_TRUE(claimed.ok()) << claimed;
+      WorkItemState state = WorkItemState::kClaimed;
+      if (claimed.ok() && i % 2 == 1) {
+        Status started = worklist.Start(offer.id, user);
+        EXPECT_TRUE(started.ok()) << started;
+        state = WorkItemState::kStarted;
+      }
+      if (claimed.ok()) claims.push_back({*id, offer.node, user, state});
+    }
+  }
+  EXPECT_EQ(claims.size(), static_cast<size_t>(count));
+  return claims;
+}
+
+// The shared post-schedule invariant "claims survive failover": every
+// acked claim is owned by the same user, in the same state, on the
+// current primary.
+void ExpectClaimsSurvive(AdeptCluster& cluster,
+                         const std::vector<AckedClaim>& claims) {
+  WorklistService& worklist = cluster.Worklist();
+  for (const AckedClaim& claim : claims) {
+    bool found = false;
+    for (const WorkItem& item : worklist.AssignedTo(claim.user)) {
+      if (item.instance != claim.instance || item.node != claim.node) continue;
+      found = true;
+      EXPECT_EQ(item.state, claim.state)
+          << "claim on I" << claim.instance.value() << " changed state";
+    }
+    EXPECT_TRUE(found) << "acked claim on I" << claim.instance.value()
+                       << " by u" << claim.user.value() << " lost";
+  }
+}
+
 // The shared post-schedule invariant: every acked id exists exactly once
 // on the current primary and nothing else does.
 void ExpectExactlyTheAckedInstances(AdeptCluster& cluster,
@@ -178,6 +261,14 @@ TEST(FailoverChaosTest, KillPrimaryMidBatchRetriedWritesSurvivePromotion) {
     ASSERT_TRUE(id.ok()) << id.status();
     acked.push_back(*id);
   }
+  // Claims, quorum-acked like any write. Their instances stay out of the
+  // in-flight batch below, whose steps would end the claimed runs.
+  const std::vector<UserId> clerks = AddClerks(*v1.cluster, 2);
+  ASSERT_TRUE(
+      v1.cluster->DeployProcessType(ClaimedSchema(v1.cluster->org())).ok());
+  std::vector<InstanceId> claimed_instances;
+  const std::vector<AckedClaim> claims =
+      ClaimSome(*v1.cluster, client, clerks, 4, &claimed_instances);
 
   // Cut every ack path: commits still apply and ship, but their quorum
   // fate is ambiguous from here on.
@@ -219,7 +310,10 @@ TEST(FailoverChaosTest, KillPrimaryMidBatchRetriedWritesSurvivePromotion) {
   }
   EXPECT_GT(client.retry_rounds(), 0u);
 
+  acked.insert(acked.end(), claimed_instances.begin(),
+               claimed_instances.end());
   ExpectExactlyTheAckedInstances(*v2->cluster, acked);
+  ExpectClaimsSurvive(*v2->cluster, claims);
 
   // The deposed lineage comes back unaware: every write it takes is
   // rejected with the fencing marker once the standbys turn it away.
@@ -388,8 +482,16 @@ TEST(FailoverChaosTest, ChainedFailoversWithRejoinsKeepEveryAckedWrite) {
   FailoverCoordinator& coord = **coordinator;
   ClusterClient client(&coord, ChaosRetryPolicy());
 
-  ASSERT_TRUE(coord.View().cluster->DeployProcessType(SequenceSchema(6)).ok());
+  AdeptCluster& founding = *coord.View().cluster;
+  ASSERT_TRUE(founding.DeployProcessType(SequenceSchema(6)).ok());
+  // The org rides the shard streams from the first checkpoint on, so
+  // every promoted lineage recovers it instead of repopulating it.
+  const std::vector<UserId> clerks = AddClerks(founding, 2);
+  ASSERT_TRUE(founding.DeployProcessType(ClaimedSchema(founding.org())).ok());
+  ASSERT_TRUE(founding.SaveSnapshot().ok());
+  const size_t org_users = founding.org().user_count();
   std::vector<InstanceId> acked;
+  std::vector<AckedClaim> claims;
   uint64_t last_epoch = coord.View().epoch;
 
   for (int cycle = 0; cycle < 2; ++cycle) {
@@ -397,6 +499,10 @@ TEST(FailoverChaosTest, ChainedFailoversWithRejoinsKeepEveryAckedWrite) {
       auto id = client.Create("seq");
       ASSERT_TRUE(id.ok()) << "cycle " << cycle << ": " << id.status();
       acked.push_back(*id);
+    }
+    for (const AckedClaim& claim :
+         ClaimSome(*coord.View().cluster, client, clerks, 2, &acked)) {
+      claims.push_back(claim);
     }
     const uint64_t version = coord.View().version;
     ASSERT_TRUE(coord.KillPrimary().ok());
@@ -412,6 +518,9 @@ TEST(FailoverChaosTest, ChainedFailoversWithRejoinsKeepEveryAckedWrite) {
 
     ASSERT_TRUE(coord.RejoinOldPrimaryAsReplica().ok());
     ExpectExactlyTheAckedInstances(*coord.View().cluster, acked);
+    EXPECT_EQ(coord.View().cluster->org().user_count(), org_users)
+        << "cycle " << cycle;
+    ExpectClaimsSurvive(*coord.View().cluster, claims);
   }
 
   EXPECT_EQ(coord.promotions(), 2u);

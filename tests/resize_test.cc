@@ -159,7 +159,8 @@ TEST_F(ResizeTest, RecoverRoundTrip2To4To1) {
     ASSERT_TRUE(worklist.Claim(by_instance[started_id.value()], carol_).ok());
     ASSERT_TRUE(worklist.Start(by_instance[started_id.value()], carol_).ok());
 
-    // The checkpoint persists the org model and compacts the journal.
+    // The checkpoint logs the org model into every shard; the shard
+    // snapshots carry it and the claims.
     ASSERT_TRUE((*cluster)->SaveSnapshot().ok());
   }
 
@@ -179,11 +180,17 @@ TEST_F(ResizeTest, RecoverRoundTrip2To4To1) {
       EXPECT_TRUE((*schema)->FindNodeByName("audit").valid());
     }
 
-    // The org model was restored from "<wal>.org" — no repopulation.
+    // The org model was restored from the shards' checkpoint — no
+    // repopulation — and the grown shards carry it too.
     EXPECT_EQ((*cluster)->org().user_count(), 3u);
     EXPECT_EQ((*cluster)->org().role_count(), 2u);
     EXPECT_EQ(*(*cluster)->org().UserName(alice_), "alice");
     EXPECT_TRUE((*cluster)->org().UserHasRole(carol_, clerk_));
+    for (size_t s = 0; s < 4; ++s) {
+      EXPECT_EQ((*cluster)->shard(s).logged_org().Dump(),
+                (*cluster)->org().ToJson().Dump())
+          << "shard " << s;
+    }
 
     // The bias survived the move.
     bool biased = false;
@@ -442,11 +449,78 @@ TEST_F(ResizeTest, DamagedDonorShardNamesCountsAndRepairAction) {
       << message;
 }
 
+// Live Resize() 2 -> 3: every claim travels with its instance to the
+// owning shard's ledger, the items keep owner, state and id, and the
+// Recover() after the resize re-attaches them all from the new shards.
+TEST_F(ResizeTest, ClaimsSurviveLiveResizeAndTheRecoverAfterIt) {
+  TempDir dir;
+  std::vector<InstanceId> ids;
+  std::map<uint64_t, WorkItem> claimed;  // by instance id
+  {
+    auto cluster = AdeptCluster::Create(DurableOptions(dir, 2));
+    ASSERT_TRUE(cluster.ok());
+    Init(**cluster);
+    for (int i = 0; i < 9; ++i) {
+      auto id = (*cluster)->CreateInstance("rz_proc");
+      ASSERT_TRUE(id.ok());
+      ids.push_back(*id);
+    }
+    WorklistService& worklist = (*cluster)->Worklist();
+    std::vector<WorkItem> offers = worklist.OffersFor(alice_);
+    ASSERT_EQ(offers.size(), ids.size());
+    for (size_t i = 0; i < 6; ++i) {
+      const UserId user = i % 2 == 0 ? alice_ : carol_;
+      ASSERT_TRUE(worklist.Claim(offers[i].id, user).ok());
+      if (i % 3 == 0) {
+        ASSERT_TRUE(worklist.Start(offers[i].id, user).ok());
+      }
+      auto item = worklist.Get(offers[i].id);
+      ASSERT_TRUE(item.ok());
+      claimed[item->instance.value()] = *item;
+    }
+
+    ASSERT_TRUE((*cluster)->Resize(3).ok());
+    ExpectPlacement(**cluster, ids);
+    for (const auto& [instance, before] : claimed) {
+      auto after = worklist.Get(before.id);
+      ASSERT_TRUE(after.ok()) << "instance " << instance;
+      EXPECT_EQ(after->claimed_by, before.claimed_by);
+      EXPECT_EQ(after->state, before.state);
+      // The claim lives in the owning shard's ledger only.
+      for (size_t s = 0; s < 3; ++s) {
+        const ClaimLedger::Entry* entry =
+            (*cluster)->shard(s).claims().Find(before.instance, before.node);
+        EXPECT_EQ(entry != nullptr, s == (*cluster)->ShardOf(before.instance))
+            << "instance " << instance << " vs shard " << s;
+      }
+    }
+  }
+
+  auto recovered = AdeptCluster::Recover(DurableOptions(dir, 3));
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  ExpectPlacement(**recovered, ids);
+  WorklistService& worklist = (*recovered)->Worklist();
+  size_t attached = 0;
+  for (UserId user : {alice_, carol_}) {
+    for (const WorkItem& item : worklist.AssignedTo(user)) {
+      auto before = claimed.find(item.instance.value());
+      ASSERT_NE(before, claimed.end()) << "instance " << item.instance;
+      EXPECT_EQ(item.node, before->second.node);
+      EXPECT_EQ(item.claimed_by, before->second.claimed_by);
+      EXPECT_EQ(item.state, before->second.state);
+      ++attached;
+    }
+  }
+  EXPECT_EQ(attached, claimed.size());
+  // The three unclaimed offers are re-derived.
+  EXPECT_EQ(worklist.OffersFor(alice_).size(), ids.size() - claimed.size());
+}
+
 // A fresh Create() at paths a previous, larger cluster wrote must retire
-// the surplus ".shard<k>" files and the stale org file — Recover() probes
-// for both and would otherwise resurrect the dead cluster's state into
-// the new one.
-TEST_F(ResizeTest, CreateRetiresSurplusShardFilesAndStaleOrgFile) {
+// the surplus ".shard<k>" files, and with them the org the old cluster
+// checkpointed into its shards — Recover() probes for shard files and
+// would otherwise resurrect the dead cluster's state into the new one.
+TEST_F(ResizeTest, CreateRetiresSurplusShardFilesAndTheirOrg) {
   TempDir dir;
   {  // Old 4-shard cluster: instances everywhere, org checkpointed.
     auto cluster = AdeptCluster::Create(DurableOptions(dir, 4));
@@ -456,9 +530,9 @@ TEST_F(ResizeTest, CreateRetiresSurplusShardFilesAndStaleOrgFile) {
       ASSERT_TRUE((*cluster)->CreateInstance("rz_proc").ok());
     }
     ASSERT_TRUE((*cluster)->SaveSnapshot().ok());
+    ASSERT_FALSE((*cluster)->shard(3).logged_org().is_null());
   }
   ASSERT_TRUE(std::filesystem::exists(dir.File("cluster.wal.shard3")));
-  ASSERT_TRUE(std::filesystem::exists(dir.File("cluster.wal.org")));
 
   {  // New, smaller cluster at the same paths: fresh history.
     auto cluster = AdeptCluster::Create(DurableOptions(dir, 2));
@@ -469,7 +543,6 @@ TEST_F(ResizeTest, CreateRetiresSurplusShardFilesAndStaleOrgFile) {
       EXPECT_FALSE(std::filesystem::exists(
           dir.File("cluster.snapshot.shard" + std::to_string(k))));
     }
-    EXPECT_FALSE(std::filesystem::exists(dir.File("cluster.wal.org")));
     Init(**cluster);
     for (int i = 0; i < 4; ++i) {
       ASSERT_TRUE((*cluster)->CreateInstance("rz_proc").ok());
@@ -487,8 +560,8 @@ TEST_F(ResizeTest, CreateRetiresSurplusShardFilesAndStaleOrgFile) {
 }
 
 // The historical repopulate-after-recover contract still works when the
-// cluster never checkpointed (no "<wal>.org" file exists).
-TEST_F(ResizeTest, RepopulatePathStillWorksWithoutOrgFile) {
+// cluster never checkpointed (no shard logged an org).
+TEST_F(ResizeTest, RepopulatePathStillWorksWithoutCheckpoint) {
   TempDir dir;
   InstanceId id;
   {
@@ -499,9 +572,11 @@ TEST_F(ResizeTest, RepopulatePathStillWorksWithoutOrgFile) {
     ASSERT_TRUE(created.ok());
     id = *created;
   }  // no SaveSnapshot: the org model dies with the process
-  ASSERT_FALSE(std::filesystem::exists(dir.File("cluster.wal.org")));
   auto recovered = AdeptCluster::Recover(DurableOptions(dir, 2));
   ASSERT_TRUE(recovered.ok()) << recovered.status();
+  for (size_t s = 0; s < 2; ++s) {
+    EXPECT_TRUE((*recovered)->shard(s).logged_org().is_null());
+  }
   EXPECT_EQ((*recovered)->org().user_count(), 0u);
   PopulateOrg(**recovered);  // same call order => same ids
   EXPECT_TRUE((*recovered)->org().UserHasRole(alice_, clerk_));

@@ -12,12 +12,17 @@
 #include <string>
 #include <vector>
 
+#include "cluster/adept_cluster.h"
 #include "common/json.h"
+#include "core/adept.h"
+#include "model/schema_builder.h"
 #include "runtime/engine.h"
 #include "runtime/instance.h"
 #include "storage/wal.h"
 #include "tests/test_fixtures.h"
 #include "verify/state_lint.h"
+#include "worklist/claim_ledger.h"
+#include "worklist/worklist_service.h"
 
 namespace adept {
 namespace {
@@ -38,16 +43,18 @@ Status Execute(ProcessInstance& i, NodeId node) {
   return i.CompleteActivity(node);
 }
 
-// A worklist journal record in the shape WorklistService writes
-// ("<cluster_wal>.worklist"): t = claim/delegate/start/release/close.
+// A claim-ledger record in the shape AdeptSystem::RecordClaim logs to its
+// WAL: t = claim (user set) or release.
 JsonValue ClaimRecord(const std::string& type, uint64_t instance,
                       uint32_t node, uint64_t user) {
   JsonValue v = JsonValue::MakeObject();
   v.Set("t", JsonValue(type));
-  v.Set("i", JsonValue(static_cast<int64_t>(instance)));
-  v.Set("n", JsonValue(static_cast<int64_t>(node)));
-  v.Set("u", JsonValue(static_cast<int64_t>(user)));
-  v.Set("e", JsonValue(static_cast<int64_t>(1)));
+  v.Set("id", JsonValue(static_cast<int64_t>(instance)));
+  v.Set("node", JsonValue(static_cast<int64_t>(node)));
+  if (type == "claim") {
+    v.Set("user", JsonValue(static_cast<int64_t>(user)));
+    v.Set("epoch", JsonValue(static_cast<int64_t>(1)));
+  }
   return v;
 }
 
@@ -59,7 +66,7 @@ TEST(StateLintTest, CleanSystemProducesEmptyReport) {
   ASSERT_TRUE((*inst)->Start().ok());
   ASSERT_TRUE(Execute(**inst, ByName(**inst, "a1")).ok());
 
-  auto report = LintRuntimeState(engine, StateLintOptions{});
+  auto report = LintRuntimeState(engine, ClaimLedger(), StateLintOptions{});
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->ToJson().Dump(),
             R"({"errors":0,"findings":[],"ok":true,"warnings":0})");
@@ -88,13 +95,13 @@ TEST(StateLintTest, StuckActivityGoldenReport) {
   // Below the threshold: clean.
   StateLintOptions options;
   options.stuck_after_events = 3;
-  auto quiet = LintRuntimeState(engine, options);
+  auto quiet = LintRuntimeState(engine, ClaimLedger(), options);
   ASSERT_TRUE(quiet.ok());
   EXPECT_EQ(quiet->warning_count(), 0u);
 
   // At the threshold: exactly one AV011 warning with the golden shape.
   options.stuck_after_events = 2;
-  auto report = LintRuntimeState(engine, options);
+  auto report = LintRuntimeState(engine, ClaimLedger(), options);
   ASSERT_TRUE(report.ok()) << report.status();
   ASSERT_EQ(report->issues().size(), 1u);
   const std::string node_id = std::to_string(confirm.value());
@@ -111,41 +118,50 @@ TEST(StateLintTest, StuckActivityGoldenReport) {
           R"(,"kind":"node"}]}],"ok":true,"warnings":1})");
 }
 
-// Three live claims, three distinct orphan reasons — plus a released claim
-// and a still-actionable claim that must stay silent.
+// Three ledger claims, three distinct orphan reasons — plus a released
+// and a still-actionable claim that must stay silent. A live system drops
+// orphaned claims itself, so
+// the shard WAL's claim records are hand-written after its real history.
 TEST(StateLintTest, OrphanedClaimGoldenReport) {
-  Engine engine;
-  auto schema = SequenceSchema(3);
-  auto inst = engine.CreateInstance(schema, SchemaId(1));
-  ASSERT_TRUE(inst.ok());
-  ProcessInstance& i = **inst;
-  ASSERT_TRUE(i.Start().ok());
-  const NodeId a1 = ByName(i, "a1");
-  const NodeId a2 = ByName(i, "a2");
-  ASSERT_TRUE(Execute(i, a1).ok());  // a1 Completed, a2 Activated
-
-  const std::string journal = TempPath("adept_state_lint_claims.wal");
-  std::filesystem::remove(journal);
+  AdeptOptions options;
+  options.wal_path = TempPath("adept_state_lint_claims.wal");
+  options.snapshot_path = TempPath("adept_state_lint_claims.snapshot");
+  NodeId a1, a2;
   {
-    auto wal = WriteAheadLog::Open(journal);
+    auto system = AdeptSystem::Create(options);
+    ASSERT_TRUE(system.ok());
+    ASSERT_TRUE((*system)->DeployProcessType(SequenceSchema(3)).ok());
+    auto id = (*system)->CreateInstance("seq");
+    ASSERT_TRUE(id.ok());
+    ASSERT_EQ(id->value(), 1u);
+    auto schema = (*system)->Schema(SchemaId(1));
+    ASSERT_TRUE(schema.ok());
+    a1 = (*schema)->FindNodeByName("a1");
+    a2 = (*schema)->FindNodeByName("a2");
+    ASSERT_TRUE((*system)->StartActivity(*id, a1).ok());
+    ASSERT_TRUE((*system)->CompleteActivity(*id, a1).ok());  // a2 Activated
+  }
+  {
+    auto wal = WriteAheadLog::Open(options.wal_path);
     ASSERT_TRUE(wal.ok());
     // Orphaned: a1 already completed out from under u7's claim.
     ASSERT_TRUE((*wal)->Append(ClaimRecord("claim", 1, a1.value(), 7)).ok());
-    // Fine: a2 is Activated, u8 can still start it.
-    ASSERT_TRUE((*wal)->Append(ClaimRecord("claim", 1, a2.value(), 8)).ok());
     // Orphaned: instance 9 does not exist.
-    ASSERT_TRUE((*wal)->Append(ClaimRecord("start", 9, a1.value(), 7)).ok());
+    ASSERT_TRUE((*wal)->Append(ClaimRecord("claim", 9, a1.value(), 7)).ok());
     // Orphaned: node 999 is not in the schema.
     ASSERT_TRUE((*wal)->Append(ClaimRecord("claim", 1, 999, 5)).ok());
-    // Released before the lint ran: silent.
+    // Released before the lint ran, then claimed again by u8, who can
+    // still start the Activated a2: silent.
     ASSERT_TRUE((*wal)->Append(ClaimRecord("claim", 1, a2.value(), 6)).ok());
     ASSERT_TRUE((*wal)->Append(ClaimRecord("release", 1, a2.value(), 6)).ok());
+    ASSERT_TRUE((*wal)->Append(ClaimRecord("claim", 1, a2.value(), 8)).ok());
     ASSERT_TRUE((*wal)->Sync(SyncMode::kFlush).ok());
   }
 
-  StateLintOptions options;
-  options.claims_journal_path = journal;
-  auto report = LintRuntimeState(engine, options);
+  auto system = AdeptSystem::Recover(options);
+  ASSERT_TRUE(system.ok()) << system.status();
+  auto report = LintRuntimeState((*system)->engine(), (*system)->claims(),
+                                 StateLintOptions{});
   ASSERT_TRUE(report.ok()) << report.status();
   ASSERT_EQ(report->issues().size(), 3u);
   for (const VerificationIssue& issue : report->issues()) {
@@ -167,14 +183,73 @@ TEST(StateLintTest, OrphanedClaimGoldenReport) {
                 ") of instance I9 is orphaned: the instance no longer "
                 "exists");
   EXPECT_EQ(issues[0].fix_hint,
-            "release the claim, or checkpoint (SaveSnapshot compacts the "
-            "journal to live claims only)");
+            "checkpoint: SaveSnapshot keeps only the claims of live "
+            "activities");
 
-  // A missing journal is not an error — the rule just has nothing to say.
-  std::filesystem::remove(journal);
-  auto empty = LintRuntimeState(engine, options);
-  ASSERT_TRUE(empty.ok()) << empty.status();
-  EXPECT_EQ(empty->issues().size(), 0u);
+  // The fix hint holds: after a checkpoint the rule has nothing to say,
+  // and the actionable claim is still there.
+  ASSERT_TRUE((*system)->SaveSnapshot().ok());
+  EXPECT_EQ((*system)->claims().size(), 1u);
+  auto clean = LintRuntimeState((*system)->engine(), (*system)->claims(),
+                                StateLintOptions{});
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  EXPECT_EQ(clean->issues().size(), 0u);
+  system->reset();
+  std::filesystem::remove(options.wal_path);
+  std::filesystem::remove(options.snapshot_path);
+}
+
+// AV012 on a cluster: each shard is linted through its own files (what
+// adept_lint --state <wal>.shard<k> does) and sees exactly the claims on
+// its own instances, all of them live.
+TEST(StateLintTest, ClusterShardsLintTheirOwnClaimsClean) {
+  ClusterOptions options;
+  options.shards = 2;
+  options.wal_path = TempPath("adept_state_lint_cluster.wal");
+  options.snapshot_path = TempPath("adept_state_lint_cluster.snapshot");
+  {
+    auto cluster = AdeptCluster::Create(options);
+    ASSERT_TRUE(cluster.ok());
+    OrgModel& org = (*cluster)->org();
+    RoleId clerk = *org.AddRole("clerk");
+    UserId alice = *org.AddUser("alice");
+    ASSERT_TRUE(org.AssignRole(alice, clerk).ok());
+    SchemaBuilder b("claimed", 1);
+    b.Activity("prepare", {.role = clerk});
+    b.Activity("ship", {.role = clerk});
+    auto schema = b.Build();
+    ASSERT_TRUE(schema.ok());
+    ASSERT_TRUE((*cluster)->DeployProcessType(*schema).ok());
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_TRUE((*cluster)->CreateInstance("claimed").ok());
+    }
+    WorklistService& worklist = (*cluster)->Worklist();
+    std::vector<WorkItem> offers = worklist.OffersFor(alice);
+    ASSERT_EQ(offers.size(), 6u);
+    for (const WorkItem& offer : offers) {
+      ASSERT_TRUE(worklist.Claim(offer.id, alice).ok());
+    }
+    // Half the claims are checkpointed, the other half ride the WAL tail.
+    ASSERT_TRUE(worklist.Start(offers[0].id, alice).ok());
+    ASSERT_TRUE((*cluster)->SaveSnapshot().ok());
+    ASSERT_TRUE(worklist.Start(offers[1].id, alice).ok());
+  }
+  for (size_t k = 0; k < 2; ++k) {
+    AdeptOptions shard;
+    shard.wal_path = ShardRouting::PathFor(options.wal_path, k);
+    shard.snapshot_path = ShardRouting::PathFor(options.snapshot_path, k);
+    auto system = AdeptSystem::Recover(shard);
+    ASSERT_TRUE(system.ok()) << system.status();
+    EXPECT_EQ((*system)->claims().size(), 3u) << "shard " << k;
+    auto report = LintRuntimeState((*system)->engine(), (*system)->claims(),
+                                   StateLintOptions{});
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(report->issues().size(), 0u) << "shard " << k << ": "
+                                           << report->ToJson().Dump();
+    system->reset();
+    std::filesystem::remove(shard.wal_path);
+    std::filesystem::remove(shard.snapshot_path);
+  }
 }
 
 // --- AV013 replication-degraded ---------------------------------------------
@@ -281,7 +356,7 @@ TEST(StateLintTest, ReplicationStatusFileFoldsIntoRuntimeReport) {
   }
   StateLintOptions options;
   options.repl_status_path = path;
-  auto report = LintRuntimeState(engine, options);
+  auto report = LintRuntimeState(engine, ClaimLedger(), options);
   ASSERT_TRUE(report.ok()) << report.status();
   ASSERT_EQ(report->issues().size(), 1u);
   EXPECT_EQ(std::string(VerifyRuleId(report->issues()[0].rule)), "AV013");
@@ -293,9 +368,9 @@ TEST(StateLintTest, ReplicationStatusFileFoldsIntoRuntimeReport) {
             "(127.0.0.1:9000 suspect for 1500ms)");
   std::filesystem::remove(path);
 
-  // Unlike the claim journal, a named-but-missing dump is an error: the
-  // flag promises a file the caller just wrote.
-  auto missing = LintRuntimeState(engine, options);
+  // A named-but-missing dump is an error: the flag promises a file the
+  // caller just wrote.
+  auto missing = LintRuntimeState(engine, ClaimLedger(), options);
   EXPECT_FALSE(missing.ok());
 }
 

@@ -4,13 +4,17 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "change/change_op.h"
 #include "cluster/adept_cluster.h"
+#include "common/fs_util.h"
+#include "common/rng.h"
 #include "model/schema_builder.h"
+#include "storage/wal.h"
 #include "worklist/worklist_service.h"
 
 namespace adept {
@@ -44,11 +48,48 @@ std::shared_ptr<const ProcessSchema> RoleSchema(RoleId clerk, RoleId packer) {
   return schema.ok() ? *schema : nullptr;
 }
 
+// The shard WAL's frames ("<lsn>:<length>:<json>\n"), one per line.
+std::vector<std::string> ReadFrames(const std::string& path) {
+  std::vector<std::string> frames;
+  auto content = ReadFileToString(path);
+  if (!content.ok()) return frames;
+  size_t begin = 0;
+  for (size_t end; (end = content->find('\n', begin)) != std::string::npos;
+       begin = end + 1) {
+    frames.push_back(content->substr(begin, end + 1 - begin));
+  }
+  return frames;
+}
+
+// Writes the first `count` frames as the WAL at `path`: a crash that cut
+// the log after that frame.
+void WriteFramePrefix(const std::vector<std::string>& frames, size_t count,
+                      const std::string& path) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  for (size_t i = 0; i < count; ++i) out << frames[i];
+}
+
+// Every claim of `worklist` as (instance, node) -> (user, state).
+using Owners = std::map<std::pair<uint64_t, uint32_t>,
+                        std::pair<uint32_t, WorkItemState>>;
+Owners OwnersOf(const WorklistService& worklist,
+                const std::vector<UserId>& users) {
+  Owners owners;
+  for (UserId user : users) {
+    for (const WorkItem& item : worklist.AssignedTo(user)) {
+      owners[{item.instance.value(), item.node.value()}] = {user.value(),
+                                                            item.state};
+    }
+  }
+  return owners;
+}
+
 // Cluster + org scaffold shared by the service tests.
 class WorklistServiceTest : public ::testing::Test {
  protected:
-  // Org population is repeatable (recovery does not persist the org
-  // model; re-adding in the same order yields the same ids).
+  // Org population is repeatable (a cluster that never checkpointed
+  // recovers an empty org; re-adding in the same order yields the same
+  // ids).
   void PopulateOrg(AdeptCluster& cluster) {
     OrgModel& org = cluster.org();
     clerk_ = *org.AddRole("clerk");
@@ -270,7 +311,8 @@ TEST_F(WorklistServiceTest, ClaimedItemsSurviveRecovery) {
 
   auto recovered = AdeptCluster::Recover(options);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
-  // The org model is not durable; repopulate in the same order (same ids).
+  // Never checkpointed: the org is empty; repopulate in the same order
+  // (same ids).
   PopulateOrg(**recovered);
   WorklistService& worklist = (*recovered)->Worklist();
 
@@ -321,26 +363,26 @@ TEST_F(WorklistServiceTest, ReleasedThenReclaimedSurvivesRecovery) {
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   PopulateOrg(**recovered);
   WorklistService& worklist = (*recovered)->Worklist();
-  // The journal replays claim -> release -> claim: carol owns the item.
+  // The shard WAL replays claim -> release -> claim: carol owns the item.
   EXPECT_TRUE(worklist.AssignedTo(alice_).empty());
   auto assigned = worklist.AssignedTo(carol_);
   ASSERT_EQ(assigned.size(), 1u);
   EXPECT_EQ(assigned[0].state, WorkItemState::kClaimed);
 }
 
-// Crash window: a claim is made durable, its activity completes and the
-// loop re-activates the node, but the async start/close journal records
-// are lost in the crash. The journal's last durable record is the old
-// claim — replay must NOT attach it to the fresh iteration's offer (the
-// activation epoch recorded in the claim catches the mismatch).
-TEST_F(WorklistServiceTest, LostCloseRecordCannotResurrectStaleClaim) {
+// A claim ends with its node's run, in the shard WAL's own order: cut the
+// WAL after any frame and recovery must never hand the claim of a
+// completed loop iteration to the next iteration's fresh offer. Before the
+// completion frame alice still owns the run; from it on, the offer of
+// iteration 2 (a later activation epoch) is open to any clerk.
+TEST_F(WorklistServiceTest, ShardWalCutNeverResurrectsStaleClaim) {
   TempDir dir;
   ClusterOptions options;
   options.shards = 1;
   options.wal_path = dir.File("cluster.wal");
-  options.snapshot_path = dir.File("cluster.snapshot");
 
   DataId again;
+  NodeId work;
   {
     auto cluster = AdeptCluster::Create(options);
     ASSERT_TRUE(cluster.ok());
@@ -348,7 +390,7 @@ TEST_F(WorklistServiceTest, LostCloseRecordCannotResurrectStaleClaim) {
     SchemaBuilder b("loop_proc", 1);
     again = b.Data("again", DataType::kBool);
     b.Loop(again, [&](SchemaBuilder& s) {
-      NodeId work = s.Activity("work", {.role = clerk_});
+      work = s.Activity("work", {.role = clerk_});
       s.Writes(work, again);
     });
     auto schema = b.Build();
@@ -367,31 +409,164 @@ TEST_F(WorklistServiceTest, LostCloseRecordCannotResurrectStaleClaim) {
                               {{again, DataValue::Bool(true)}})
                     .ok());
     ASSERT_EQ(worklist.OffersFor(carol_).size(), 1u);
-  }  // clean shutdown drains the journal: claim, start, close, ...
-
-  // Crash injection: chop the journal back to its first frame (the
-  // durable claim) — the async start/close tail never hit the disk.
-  std::string journal = options.wal_path + ".worklist";
-  {
-    std::ifstream in(journal, std::ios::binary);
-    std::string content((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-    auto first_frame_end = content.find('\n');
-    ASSERT_NE(first_frame_end, std::string::npos);
-    std::filesystem::resize_file(journal, first_frame_end + 1);
   }
 
-  auto recovered = AdeptCluster::Recover(options);
-  ASSERT_TRUE(recovered.ok()) << recovered.status();
-  PopulateOrg(**recovered);
-  WorklistService& worklist = (*recovered)->Worklist();
+  const std::vector<std::string> frames =
+      ReadFrames(options.wal_path + ".shard0");
+  size_t claim_frame = frames.size();
+  size_t complete_frame = frames.size();
+  for (size_t f = 0; f < frames.size(); ++f) {
+    if (frames[f].find(R"("t":"claim")") != std::string::npos) claim_frame = f;
+    if (frames[f].find(R"("ev":"complete")") != std::string::npos) {
+      complete_frame = f;
+    }
+  }
+  ASSERT_LT(claim_frame, complete_frame);
+  ASSERT_LT(complete_frame, frames.size());
 
-  // The stale claim (epoch 0) must not own iteration 2's offer (epoch 1):
-  // alice holds nothing and any clerk can claim the fresh offer.
-  EXPECT_TRUE(worklist.AssignedTo(alice_).empty());
-  auto offers = worklist.OffersFor(carol_);
-  ASSERT_EQ(offers.size(), 1u);
-  EXPECT_TRUE(worklist.Claim(offers[0].id, carol_).ok());
+  for (size_t count = claim_frame + 1; count <= frames.size(); ++count) {
+    SCOPED_TRACE("WAL cut after frame " + std::to_string(count));
+    TempDir cut_dir;
+    ClusterOptions cut = options;
+    cut.wal_path = cut_dir.File("cluster.wal");
+    WriteFramePrefix(frames, count, cut.wal_path + ".shard0");
+    auto recovered = AdeptCluster::Recover(cut);
+    ASSERT_TRUE(recovered.ok()) << recovered.status();
+    PopulateOrg(**recovered);
+    WorklistService& worklist = (*recovered)->Worklist();
+    if (count <= complete_frame) {
+      auto assigned = worklist.AssignedTo(alice_);
+      ASSERT_EQ(assigned.size(), 1u);
+      EXPECT_EQ(assigned[0].node, work);
+      continue;
+    }
+    // The run is over: alice holds nothing and any clerk can claim the
+    // fresh offer.
+    EXPECT_TRUE(worklist.AssignedTo(alice_).empty());
+    auto offers = worklist.OffersFor(carol_);
+    ASSERT_EQ(offers.size(), 1u);
+    EXPECT_TRUE(worklist.Claim(offers[0].id, carol_).ok());
+  }
+
+  // A log can still carry a stale claim (hand edits, damage): append
+  // alice's iteration-1 claim again after the completion. The activation
+  // epoch keeps it off iteration 2's offer.
+  TempDir forged_dir;
+  ClusterOptions forged = options;
+  forged.wal_path = forged_dir.File("cluster.wal");
+  const std::string forged_wal = forged.wal_path + ".shard0";
+  WriteFramePrefix(frames, frames.size(), forged_wal);
+  {
+    auto records = WriteAheadLog::ReadRecords(forged_wal);
+    ASSERT_TRUE(records.ok());
+    auto wal = WriteAheadLog::Open(forged_wal);
+    ASSERT_TRUE(wal.ok());
+    ASSERT_TRUE((*wal)->Append((*records)[claim_frame].value).ok());
+    ASSERT_TRUE((*wal)->Sync(SyncMode::kFlush).ok());
+  }
+  auto recovered = AdeptCluster::Recover(forged);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  ASSERT_EQ((*recovered)->shard(0).claims().size(), 1u);
+  PopulateOrg(**recovered);
+  EXPECT_TRUE((*recovered)->Worklist().AssignedTo(alice_).empty());
+  EXPECT_EQ((*recovered)->Worklist().OffersFor(carol_).size(), 1u);
+}
+
+// The ledger's WAL-order contract under a random claim lifecycle: for
+// every prefix of the shard WAL, Recover() attaches exactly the owners (and
+// claimed/started states) the live worklist had at that LSN.
+TEST_F(WorklistServiceTest, RecoverAtEveryWalPrefixAttachesTheLiveOwners) {
+  TempDir dir;
+  ClusterOptions options;
+  options.shards = 1;
+  options.wal_path = dir.File("cluster.wal");
+  auto cluster = AdeptCluster::Create(options);
+  ASSERT_TRUE(cluster.ok());
+  AdeptCluster& c = **cluster;
+  PopulateOrg(c);
+  SchemaBuilder b("chain_proc", 1);
+  std::vector<NodeId> steps;
+  for (const char* name : {"a", "b", "c", "d"}) {
+    steps.push_back(b.Activity(name, {.role = clerk_}));
+  }
+  auto schema = b.Build();
+  ASSERT_TRUE(schema.ok());
+  ASSERT_TRUE(c.DeployProcessType(*schema).ok());
+  std::vector<InstanceId> instances;
+  for (int i = 0; i < 8; ++i) {
+    instances.push_back(*c.CreateInstance("chain_proc"));
+  }
+  WorklistService& worklist = c.Worklist();
+  const std::vector<UserId> clerks = {alice_, carol_};
+
+  // Live owners after every LSN the sequence reached.
+  std::map<uint64_t, Owners> expected;
+  auto lsn = [&] { return c.shard(0).last_enqueued_lsn(); };
+  expected[lsn()] = OwnersOf(worklist, clerks);
+
+  Rng rng(19);
+  for (int op = 0; op < 120; ++op) {
+    const InstanceId instance = instances[rng.NextBelow(instances.size())];
+    // The instance's live item (one role-carrying step is open at a time),
+    // and who holds it.
+    std::optional<WorkItem> item;
+    for (UserId clerk : clerks) {
+      for (const WorkItem& held : worklist.AssignedTo(clerk)) {
+        if (held.instance == instance) item = held;
+      }
+    }
+    for (const WorkItem& offer : worklist.OffersFor(alice_)) {
+      if (offer.instance == instance) item = offer;
+    }
+    if (!item.has_value()) continue;  // finished
+    const UserId owner = item->claimed_by;
+    const UserId other = owner == alice_ ? carol_ : alice_;
+    const uint64_t before = lsn();
+    const uint64_t pick = rng.NextBelow(4);
+    if (pick == 0) {  // revoke: delete the activity ad hoc, claimed or not
+      Delta delta;
+      delta.Add(std::make_unique<DeleteActivityOp>(item->node));
+      (void)c.ApplyAdHocChange(instance, std::move(delta));
+    } else if (item->state == WorkItemState::kOffered) {
+      ASSERT_TRUE(
+          worklist.Claim(item->id, clerks[rng.NextBelow(clerks.size())]).ok());
+    } else if (item->state == WorkItemState::kStarted) {
+      ASSERT_TRUE(worklist.Complete(item->id, owner).ok());
+    } else if (pick == 1) {
+      ASSERT_TRUE(worklist.Release(item->id, owner).ok());
+    } else if (pick == 2) {
+      ASSERT_TRUE(worklist.Delegate(item->id, owner, other).ok());
+    } else {
+      ASSERT_TRUE(worklist.Start(item->id, owner).ok());
+    }
+    // One record per transition, so the loop visits every prefix.
+    ASSERT_LE(lsn() - before, 1u) << "op " << op;
+    expected[lsn()] = OwnersOf(worklist, clerks);
+  }
+  ASSERT_GT(expected.size(), 50u) << "the sequence must reach many LSNs";
+  std::set<WorkItemState> states_seen;
+  for (const auto& [at, owners] : expected) {
+    for (const auto& [key, owner] : owners) states_seen.insert(owner.second);
+  }
+  ASSERT_EQ(states_seen.size(), 2u) << "claimed and started owners";
+  cluster->reset();
+
+  const std::vector<std::string> frames =
+      ReadFrames(options.wal_path + ".shard0");
+  ASSERT_EQ(frames.size(), expected.rbegin()->first);
+  for (const auto& [at, owners] : expected) {
+    SCOPED_TRACE("WAL prefix up to LSN " + std::to_string(at));
+    TempDir cut_dir;
+    ClusterOptions cut = options;
+    cut.wal_path = cut_dir.File("cluster.wal");
+    WriteFramePrefix(frames, at, cut.wal_path + ".shard0");
+    auto recovered = AdeptCluster::Recover(cut);
+    ASSERT_TRUE(recovered.ok()) << recovered.status();
+    EXPECT_EQ(OwnersOf((*recovered)->Worklist(), clerks), owners);
+    // The replayed ledger itself is the live one: no claim outlives its
+    // node's run.
+    EXPECT_EQ((*recovered)->shard(0).claims().size(), owners.size());
+  }
 }
 
 // Revocation storm: a bulk cross-shard migration demotes the offered/
@@ -493,6 +668,12 @@ TEST_F(WorklistServiceTest, StaleItemAfterBiasCancellationMigration) {
   ASSERT_NE(c.ShardOf(biased[0]), c.ShardOf(biased[1]));
   std::vector<WorkItem> stale = worklist.OffersFor(alice_);
   ASSERT_EQ(stale.size(), 2u);
+  // One of them is claimed: the remap strands its ledger entry on the
+  // bias's node id.
+  ASSERT_TRUE(worklist.Claim(stale[0].id, alice_).ok());
+  const AdeptSystem& stale_owner = c.shard(c.ShardOf(stale[0].instance));
+  ASSERT_NE(stale_owner.claims().Find(stale[0].instance, stale[0].node),
+            nullptr);
 
   // Instance 3 shares instance 1's shard and is past "b": inserting "x"
   // before it is a state conflict, so it stays behind with "d" offered.
@@ -516,6 +697,10 @@ TEST_F(WorklistServiceTest, StaleItemAfterBiasCancellationMigration) {
   for (const WorkItem& item : stale) {
     EXPECT_EQ(worklist.Claim(item.id, alice_).code(), StatusCode::kNotFound);
   }
+  // The migration pruned the stranded claim from its shard's ledger.
+  EXPECT_EQ(stale_owner.claims().Find(stale[0].instance, stale[0].node),
+            nullptr);
+  EXPECT_TRUE(worklist.AssignedTo(alice_).empty());
   std::vector<WorkItem> remapped = worklist.OffersFor(alice_);
   ASSERT_EQ(remapped.size(), 2u);
   for (const WorkItem& item : remapped) {
@@ -561,16 +746,42 @@ TEST_F(WorklistServiceTest, AdHocDeletionRetractsClaimedItem) {
   ASSERT_EQ(worklist.OffersFor(bob_).size(), 1u);
 }
 
-// The claim journal must not grow without bound: each checkpoint rewrites
-// it as one record per live claim, so after N cycles of claim/complete
-// churn its size is O(live claims), not O(total claim history).
-TEST_F(WorklistServiceTest, JournalCompactionBoundsFileAtLiveClaims) {
+// A checkpoint bounds the durable claims at the live ones: after
+// SaveSnapshot the shard WALs hold no claim records, and the shard
+// snapshots hold one ledger entry per live claim — however many claim
+// cycles ran before. A node's durable files are each shard's WAL and
+// snapshot, nothing else.
+TEST_F(WorklistServiceTest, CheckpointHoldsOneLedgerEntryPerLiveClaim) {
   TempDir dir;
   ClusterOptions options;
   options.shards = 2;
   options.wal_path = dir.File("cluster.wal");
   options.snapshot_path = dir.File("cluster.snapshot");
-  const std::string journal = options.wal_path + ".worklist";
+  auto claim_records = [&] {
+    size_t count = 0;
+    for (size_t k = 0; k < 2; ++k) {
+      auto records = WriteAheadLog::ReadRecords(
+          ShardRouting::PathFor(options.wal_path, k));
+      EXPECT_TRUE(records.ok());
+      for (const WalRecord& record : *records) {
+        const std::string& type = record.value.Get("t").as_string();
+        if (type == "claim" || type == "release") ++count;
+      }
+    }
+    return count;
+  };
+  auto ledger_entries = [&] {
+    size_t count = 0;
+    for (size_t k = 0; k < 2; ++k) {
+      auto content = ReadFileToString(
+          ShardRouting::PathFor(options.snapshot_path, k));
+      EXPECT_TRUE(content.ok());
+      auto json = JsonValue::Parse(*content);
+      EXPECT_TRUE(json.ok());
+      count += json->Get("claims").as_array().size();
+    }
+    return count;
+  };
 
   auto cluster = AdeptCluster::Create(options);
   ASSERT_TRUE(cluster.ok());
@@ -599,15 +810,13 @@ TEST_F(WorklistServiceTest, JournalCompactionBoundsFileAtLiveClaims) {
     InstanceId id = *(*cluster)->CreateInstance("wl_proc");
     run_cycle(id, alice_);  // prepare (clerk)
     run_cycle(id, bob_);    // execute (packer)
+    EXPECT_GT(claim_records(), 0u) << "cycle " << cycle;
     ASSERT_TRUE((*cluster)->SaveSnapshot().ok());
-    // Bounded after every checkpoint: no live claims -> no records, even
-    // though 4+ lifecycle records were journaled during the cycle.
-    auto compacted = WriteAheadLog::ReadRecords(journal);
-    ASSERT_TRUE(compacted.ok());
-    EXPECT_EQ(compacted->size(), 0u) << "cycle " << cycle;
+    EXPECT_EQ(claim_records(), 0u) << "cycle " << cycle;
+    EXPECT_EQ(ledger_entries(), 0u) << "cycle " << cycle;
   }
 
-  // With live claims the compacted journal holds exactly one record each.
+  // With live claims the snapshots hold exactly one entry each.
   InstanceId open1 = *(*cluster)->CreateInstance("wl_proc");
   InstanceId open2 = *(*cluster)->CreateInstance("wl_proc");
   std::map<uint64_t, WorkItemId> by_instance;
@@ -618,14 +827,23 @@ TEST_F(WorklistServiceTest, JournalCompactionBoundsFileAtLiveClaims) {
   ASSERT_TRUE(worklist.Claim(by_instance[open2.value()], carol_).ok());
   ASSERT_TRUE(worklist.Start(by_instance[open2.value()], carol_).ok());
   ASSERT_TRUE((*cluster)->SaveSnapshot().ok());
-  auto compacted = WriteAheadLog::ReadRecords(journal);
-  ASSERT_TRUE(compacted.ok());
-  EXPECT_EQ(compacted->size(), 2u);
+  EXPECT_EQ(claim_records(), 0u);
+  EXPECT_EQ(ledger_entries(), 2u);
 
-  // The compacted journal still recovers claims with owner and state.
+  // The checkpointed ledgers recover claims with owner and state, and the
+  // org with them.
   cluster->reset();
+  std::set<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::path(options.wal_path).parent_path())) {
+    files.insert(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, (std::set<std::string>{
+                       "cluster.snapshot.shard0", "cluster.snapshot.shard1",
+                       "cluster.wal.shard0", "cluster.wal.shard1"}));
   auto recovered = AdeptCluster::Recover(options);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ((*recovered)->org().user_count(), 3u);
   WorklistService& recovered_worklist = (*recovered)->Worklist();
   auto alice_assigned = recovered_worklist.AssignedTo(alice_);
   ASSERT_EQ(alice_assigned.size(), 1u);

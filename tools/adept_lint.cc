@@ -8,27 +8,25 @@
 //       Lint the built-in example catalog (tools/example_schemas.h).
 //   adept_lint --schema FILE.json [FILE.json ...]
 //       Lint schemas serialized with SchemaToJson (model/serialization.h).
-//   adept_lint --state WAL [--snapshot FILE] [--claims FILE]
+//   adept_lint --state WAL [--snapshot FILE] [--repl-status FILE]
 //       Recover an AdeptSystem from its WAL (+ optional snapshot) and lint
 //       every schema version stored in its repository, plus the runtime-
-//       health rules over the recovered instances (AV011 stuck-activity,
-//       AV012 orphaned-claim; see verify/state_lint.h). --claims points at
-//       a worklist claim journal ("<cluster_wal>.worklist"); without it,
-//       "<WAL>.worklist" is used when present.
+//       health rules over the recovered instances and their claims (AV011
+//       stuck-activity, AV012 orphaned-claim, and with --repl-status AV013
+//       replication-degraded; see verify/state_lint.h). A cluster shard is
+//       linted through its own files ("<cluster_wal>.shard<k>").
 //   adept_lint --wal-dump WAL
 //       Decode a WAL without recovering from it: per-record-type counts
 //       and payload bytes, split into full-state records (a complete
-//       serialized artifact: deploy/repo/import, plus legacy cumulative
-//       ad-hoc "bias" records) and delta records (everything the
-//       delta-WAL refactor logs incrementally). The split is how to audit
-//       what a log costs to ship and where legacy records still linger.
+//       serialized artifact: deploy/repo/import/org) and delta records
+//       (everything logged incrementally, claim records included). The
+//       split is how to audit what a log costs to ship.
 //
 // Options: --out FILE writes the report there instead of stdout.
 // Exit status: 0 = no error-severity findings, 1 = at least one error,
 // 2 = usage or I/O failure.
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -62,19 +60,17 @@ int Usage(const char* argv0) {
       << "       " << argv0 << " --schema FILE.json [FILE.json ...] "
       << "[--out FILE]\n"
       << "       " << argv0 << " --state WAL [--snapshot FILE] "
-      << "[--claims FILE] [--repl-status FILE] [--out FILE]\n"
+      << "[--repl-status FILE] [--out FILE]\n"
       << "       " << argv0 << " --wal-dump WAL [--out FILE]\n";
   return 2;
 }
 
 // Whether a record carries a complete serialized artifact rather than an
-// incremental change. Legacy ad-hoc records logged the whole cumulative
-// bias under "bias"; the delta-WAL format logs only the appended ops
-// under "delta".
+// incremental change.
 bool IsFullStateRecord(const JsonValue& record) {
   const std::string& type = record.Get("t").as_string();
-  if (type == "deploy" || type == "repo" || type == "import") return true;
-  return type == "adhoc" && !record.Has("delta");
+  return type == "deploy" || type == "repo" || type == "import" ||
+         type == "org";
 }
 
 int RunWalDump(const std::string& wal_path, const std::string& out_path) {
@@ -94,9 +90,6 @@ int RunWalDump(const std::string& wal_path, const std::string& out_path) {
   for (const JsonValue& record : *records) {
     std::string type = record.Get("t").as_string();
     if (type.empty()) type = "unknown";
-    if (type == "adhoc") {
-      type = record.Has("delta") ? "adhoc.delta" : "adhoc.bias";
-    }
     const auto bytes = static_cast<int64_t>(record.Dump().size());
     Bucket& bucket = by_type[type];
     ++bucket.records;
@@ -179,7 +172,6 @@ int Run(int argc, char** argv) {
   std::string wal_path;
   std::string wal_dump_path;
   std::string snapshot_path;
-  std::string claims_path;
   std::string repl_status_path;
   std::string out_path;
   bool examples = false;
@@ -201,9 +193,6 @@ int Run(int argc, char** argv) {
     } else if (arg == "--snapshot") {
       if (i + 1 >= argc) return Usage(argv[0]);
       snapshot_path = argv[++i];
-    } else if (arg == "--claims") {
-      if (i + 1 >= argc) return Usage(argv[0]);
-      claims_path = argv[++i];
     } else if (arg == "--repl-status") {
       if (i + 1 >= argc) return Usage(argv[0]);
       repl_status_path = argv[++i];
@@ -269,13 +258,9 @@ int Run(int argc, char** argv) {
   JsonValue runtime;
   if (system != nullptr) {
     StateLintOptions state_options;
-    if (!claims_path.empty()) {
-      state_options.claims_journal_path = claims_path;
-    } else if (std::filesystem::exists(wal_path + ".worklist")) {
-      state_options.claims_journal_path = wal_path + ".worklist";
-    }
     state_options.repl_status_path = repl_status_path;
-    auto report = LintRuntimeState(system->engine(), state_options);
+    auto report =
+        LintRuntimeState(system->engine(), system->claims(), state_options);
     if (!report.ok()) {
       std::cerr << "adept_lint: runtime lint: " << report.status().message()
                 << "\n";
