@@ -1,6 +1,7 @@
 #include "runtime/instance.h"
 
 #include <algorithm>
+#include <set>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -58,7 +59,7 @@ Status ProcessInstance::Start() {
   const Node* start = schema_->FindNode(schema_->start_node());
   if (start == nullptr) return Status::Internal("schema has no start node");
   SetNodeState(start->id, NodeState::kCompleted);
-  ADEPT_RETURN_IF_ERROR(SignalCompletion(*start));
+  SignalCompletion(*start);
   return Propagate();
 }
 
@@ -100,49 +101,45 @@ std::optional<NodeState> ProcessInstance::ComputeActivation(
 }
 
 Status ProcessInstance::Propagate() {
+  // Signal targets are in the frontier already; Activated splits and joins
+  // can fire without a new signal.
+  marking_.activated().ForEach([&](NodeId id) { frontier_.push_back(id); });
+
   const int max_transitions =
       static_cast<int>(schema_->node_count()) * kMaxAutoTransitionsFactor +
       1024;
   int transitions = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    Status inner = Status::OK();
-    schema_->VisitNodes([&](const Node& node) {
-      if (!inner.ok()) return;
-      NodeState state = marking_.node(node.id);
-      if (state == NodeState::kNotActivated) {
-        std::optional<NodeState> next = ComputeActivation(node);
-        if (next.has_value()) {
-          if (*next == NodeState::kSkipped) {
-            SkipNode(node);
-          } else {
-            SetNodeState(node.id, NodeState::kActivated);
-          }
-          changed = true;
-          ++transitions;
-        }
-      } else if (state == NodeState::kActivated &&
-                 node.type != NodeType::kActivity) {
-        // An XOR split without a decidable branch waits in Activated until
-        // data arrives or SelectBranch() is called.
-        if (node.type == NodeType::kXorSplit &&
-            selected_branch_.find(node.id) == selected_branch_.end() &&
-            (!node.decision_data.valid() ||
-             !data_.HasValue(node.decision_data))) {
-          return;
-        }
-        inner = AutoComplete(node);
-        changed = true;
-        ++transitions;
+  while (!frontier_.empty()) {
+    std::set<NodeId> pass(frontier_.begin(), frontier_.end());  // ascending
+    frontier_.clear();
+    while (!pass.empty()) {
+      const NodeId id = *pass.begin();
+      pass.erase(pass.begin());
+      const size_t touched = frontier_.size();
+      Result<bool> fired = Fire(id);
+      if (!fired.ok()) {
+        frontier_.push_back(id);
+        frontier_.insert(frontier_.end(), pass.begin(), pass.end());
+        return fired.status();
       }
-    });
-    ADEPT_RETURN_IF_ERROR(inner);
+      // Nodes touched above `id` are still ahead of this pass; the rest
+      // wait for the next one, as does a node that transitioned (a newly
+      // Activated split or join auto-completes there).
+      auto ahead = std::partition(frontier_.begin() + touched, frontier_.end(),
+                                  [&](NodeId n) { return !(id < n); });
+      pass.insert(ahead, frontier_.end());
+      frontier_.erase(ahead, frontier_.end());
+      if (*fired) {
+        ++transitions;
+        frontier_.push_back(id);
+      }
+    }
     if (transitions > max_transitions) {
       return Status::Internal(
           "propagation did not converge (loop without user activities?)");
     }
   }
+  std::vector<NodeId>().swap(frontier_);  // keep idle instances small
   if (Finished() && !finished_notified_) {
     finished_notified_ = true;
     if (observer_ != nullptr) observer_->OnInstanceFinished(*this);
@@ -150,30 +147,68 @@ Status ProcessInstance::Propagate() {
   return Status::OK();
 }
 
-Status ProcessInstance::AutoComplete(const Node& node) {
-  if (node.type == NodeType::kLoopEnd) return HandleLoopEnd(node);
-  SetNodeState(node.id, NodeState::kCompleted);
-  return SignalCompletion(node);
+Status ProcessInstance::PropagateMarkings() {
+  // Only a node with a signalled in-edge can become Activated or Skipped.
+  marking_.edge_states().ForEach([&](EdgeId edge, EdgeState) {
+    const Edge* e = schema_->FindEdge(edge);
+    if (e != nullptr) frontier_.push_back(e->dst);
+  });
+  return Propagate();
 }
 
-Result<int> ProcessInstance::EvaluateDecision(const Node& split) {
+Result<bool> ProcessInstance::Fire(NodeId id) {
+  const Node* node = schema_->FindNode(id);
+  if (node == nullptr) return false;
+  NodeState state = marking_.node(id);
+  if (state == NodeState::kNotActivated) {
+    std::optional<NodeState> next = ComputeActivation(*node);
+    if (!next.has_value()) return false;
+    if (*next == NodeState::kSkipped) {
+      SkipNode(*node);
+    } else {
+      SetNodeState(id, NodeState::kActivated);
+    }
+    return true;
+  }
+  if (state != NodeState::kActivated || node->type == NodeType::kActivity) {
+    return false;
+  }
+  if (node->type == NodeType::kXorSplit) {
+    // Without a decidable branch the split waits in Activated until data
+    // arrives or SelectBranch() is called.
+    std::optional<int> decision = BranchDecision(*node);
+    if (!decision.has_value()) return false;
+    DecideBranch(*node, *decision);
+  } else if (node->type == NodeType::kLoopEnd) {
+    ADEPT_RETURN_IF_ERROR(HandleLoopEnd(*node));
+  } else {
+    SetNodeState(id, NodeState::kCompleted);
+    SignalCompletion(*node);
+  }
+  return true;
+}
+
+bool ProcessInstance::HasBranch(const Node& split, int code) const {
+  bool found = false;
+  schema_->VisitOutEdges(split.id, [&](const Edge& e) {
+    if (e.type == EdgeType::kControl && e.branch_value == code) found = true;
+  });
+  return found;
+}
+
+std::optional<int> ProcessInstance::BranchDecision(const Node& split) const {
+  int code = 0;
   auto it = selected_branch_.find(split.id);
   if (it != selected_branch_.end()) {
-    int value = it->second;
-    selected_branch_.erase(it);
-    return value;
+    code = it->second;
+  } else {
+    if (!split.decision_data.valid()) return std::nullopt;
+    auto value = data_.Read(split.decision_data);
+    if (!value.ok()) return std::nullopt;
+    code = static_cast<int>(value->as_int());
   }
-  if (!split.decision_data.valid()) {
-    return Status::FailedPrecondition(
-        "XOR split '" + split.name +
-        "' has no decision data and no explicit branch selection");
-  }
-  auto value = data_.Read(split.decision_data);
-  if (!value.ok()) {
-    return Status::FailedPrecondition("decision data for XOR split '" +
-                                      split.name + "' has no value");
-  }
-  return static_cast<int>(value->as_int());
+  if (!HasBranch(split, code)) return std::nullopt;
+  return code;
 }
 
 Result<bool> ProcessInstance::EvaluateLoopCondition(const Node& node) {
@@ -189,38 +224,37 @@ Result<bool> ProcessInstance::EvaluateLoopCondition(const Node& node) {
   return value->as_bool();
 }
 
-Status ProcessInstance::SignalCompletion(const Node& node) {
-  if (node.type == NodeType::kXorSplit) {
-    ADEPT_ASSIGN_OR_RETURN(int decision, EvaluateDecision(node));
-    bool matched = false;
-    schema_->VisitOutEdges(node.id, [&](const Edge& e) {
-      if (e.type != EdgeType::kControl) return;
-      if (e.branch_value == decision && !matched) {
-        matched = true;
-        marking_.set_edge(e.id, EdgeState::kTrueSignaled);
-      } else {
-        marking_.set_edge(e.id, EdgeState::kFalseSignaled);
-      }
-    });
-    if (!matched) {
-      return Status::FailedPrecondition(
-          StrFormat("XOR split '%s': no branch matches decision value %d",
-                    node.name.c_str(), decision));
-    }
-    trace_.Append({.kind = TraceEventKind::kBranchChosen,
-                   .node = node.id,
-                   .branch_value = decision});
-    return Status::OK();
-  }
+void ProcessInstance::SetEdgeState(const Edge& edge, EdgeState state) {
+  if (marking_.edge(edge.id) == state) return;
+  marking_.set_edge(edge.id, state);
+  frontier_.push_back(edge.dst);
+}
+
+void ProcessInstance::DecideBranch(const Node& split, int decision) {
+  selected_branch_.erase(split.id);
+  SetNodeState(split.id, NodeState::kCompleted);
+  bool matched = false;
+  schema_->VisitOutEdges(split.id, [&](const Edge& e) {
+    if (e.type != EdgeType::kControl) return;
+    bool chosen = !matched && e.branch_value == decision;
+    matched = matched || chosen;
+    SetEdgeState(e, chosen ? EdgeState::kTrueSignaled
+                           : EdgeState::kFalseSignaled);
+  });
+  trace_.Append({.kind = TraceEventKind::kBranchChosen,
+                 .node = split.id,
+                 .branch_value = decision});
+}
+
+void ProcessInstance::SignalCompletion(const Node& node) {
   schema_->VisitOutEdges(node.id, [&](const Edge& e) {
     if (e.type == EdgeType::kLoop) return;
     // Completion signals control and sync edges alike, but never downgrades
     // an existing signal (relevant during marking re-evaluation).
     if (marking_.edge(e.id) == EdgeState::kNotSignaled) {
-      marking_.set_edge(e.id, EdgeState::kTrueSignaled);
+      SetEdgeState(e, EdgeState::kTrueSignaled);
     }
   });
-  return Status::OK();
 }
 
 void ProcessInstance::SkipNode(const Node& node) {
@@ -230,7 +264,7 @@ void ProcessInstance::SkipNode(const Node& node) {
   }
   schema_->VisitOutEdges(node.id, [&](const Edge& e) {
     if (e.type == EdgeType::kLoop) return;
-    marking_.set_edge(e.id, EdgeState::kFalseSignaled);
+    SetEdgeState(e, EdgeState::kFalseSignaled);
   });
 }
 
@@ -238,7 +272,8 @@ Status ProcessInstance::HandleLoopEnd(const Node& node) {
   ADEPT_ASSIGN_OR_RETURN(bool iterate, EvaluateLoopCondition(node));
   if (!iterate) {
     SetNodeState(node.id, NodeState::kCompleted);
-    return SignalCompletion(node);
+    SignalCompletion(node);
+    return Status::OK();
   }
   const BlockTree* tree = block_tree();
   if (tree == nullptr) {
@@ -261,13 +296,12 @@ Status ProcessInstance::HandleLoopEnd(const Node& node) {
   // Erase body markings: node states, plus the states of every non-loop
   // edge whose source lies inside the block (covers internal edges; the
   // entry edge of the loop start keeps its signal, so propagation restarts
-  // the body).
-  std::unordered_map<NodeId, bool> in_region;
-  for (NodeId n : region) in_region[n] = true;
+  // the body — the reset nodes join the frontier for that).
   for (NodeId n : region) {
     SetNodeState(n, NodeState::kNotActivated);
+    frontier_.push_back(n);
     schema_->VisitOutEdges(n, [&](const Edge& e) {
-      marking_.set_edge(e.id, EdgeState::kNotSignaled);
+      SetEdgeState(e, EdgeState::kNotSignaled);
     });
   }
   return Status::OK();
@@ -365,7 +399,7 @@ Status ProcessInstance::CompleteActivity(NodeId node_id,
   const uint64_t* runs = completed_runs_.Find(node_id);
   completed_runs_.Set(node_id, (runs == nullptr ? 0 : *runs) + 1);
   ++completed_total_;
-  ADEPT_RETURN_IF_ERROR(SignalCompletion(*node));
+  SignalCompletion(*node);
   return Propagate();
 }
 
@@ -415,6 +449,11 @@ Status ProcessInstance::SelectBranch(NodeId split, int branch_value) {
   }
   if (IsFinalNodeState(marking_.node(split))) {
     return Status::FailedPrecondition("XOR split already decided");
+  }
+  if (!HasBranch(*node, branch_value)) {
+    return Status::InvalidArgument(
+        StrFormat("XOR split '%s' has no branch %d", node->name.c_str(),
+                  branch_value));
   }
   selected_branch_[split] = branch_value;
   return Propagate();
@@ -580,44 +619,44 @@ Status ProcessInstance::ReevaluateMarkings() {
   for (EdgeId e : soft_edges) marking_.erase_edge(e);
 
   // 4. Completed sources signal their (new/unsignaled) outgoing edges.
-  Status derive = Status::OK();
-  schema_->VisitNodes([&](const Node& node) {
-    if (!derive.ok()) return;
-    if (marking_.node(node.id) != NodeState::kCompleted) return;
-    if (node.type == NodeType::kXorSplit) {
-      // Preserved signals encode the decision for surviving edges. Edges
-      // rewritten by a change (e.g. serial insert into the chosen branch)
-      // are re-signalled from the trace's recorded decision: the inserted
-      // edge inherits the branch selection code, so matching codes restores
-      // the signal exactly.
-      std::optional<int> chosen = trace_.LastBranchChosen(node.id);
-      bool any = false;
-      schema_->VisitOutEdges(node.id, [&](const Edge& e) {
-        if (e.type != EdgeType::kControl) return;
-        if (marking_.edge(e.id) != EdgeState::kNotSignaled) {
-          any = true;
-          return;
-        }
-        if (chosen.has_value()) {
-          marking_.set_edge(e.id, e.branch_value == *chosen
-                                      ? EdgeState::kTrueSignaled
-                                      : EdgeState::kFalseSignaled);
-          any = true;
-        }
-      });
-      if (!any) {
-        derive = Status::Internal(
-            "completed XOR split lost its decision signals");
-      }
-      return;
-    }
-    Status st = SignalCompletion(node);
-    if (!st.ok()) derive = st;
+  std::vector<NodeId> completed;
+  marking_.node_states().ForEach([&](NodeId node, NodeState state) {
+    if (state == NodeState::kCompleted) completed.push_back(node);
   });
-  ADEPT_RETURN_IF_ERROR(derive);
+  std::sort(completed.begin(), completed.end());
+  for (NodeId id : completed) {
+    const Node* node = schema_->FindNode(id);
+    if (node == nullptr) continue;
+    if (node->type != NodeType::kXorSplit) {
+      SignalCompletion(*node);
+      continue;
+    }
+    // Preserved signals encode the decision for surviving edges. Edges
+    // rewritten by a change (e.g. serial insert into the chosen branch)
+    // are re-signalled from the trace's recorded decision: the inserted
+    // edge inherits the branch selection code, so matching codes restores
+    // the signal exactly.
+    std::optional<int> chosen = trace_.LastBranchChosen(id);
+    bool any = false;
+    schema_->VisitOutEdges(id, [&](const Edge& e) {
+      if (e.type != EdgeType::kControl) return;
+      if (marking_.edge(e.id) != EdgeState::kNotSignaled) {
+        any = true;
+        return;
+      }
+      if (chosen.has_value()) {
+        SetEdgeState(e, e.branch_value == *chosen ? EdgeState::kTrueSignaled
+                                                  : EdgeState::kFalseSignaled);
+        any = true;
+      }
+    });
+    if (!any) {
+      return Status::Internal("completed XOR split lost its decision signals");
+    }
+  }
 
   // 5. Standard propagation re-derives activations and dead paths.
-  return Propagate();
+  return PropagateMarkings();
 }
 
 }  // namespace adept

@@ -15,9 +15,15 @@
 //   * FalseSignaled control edges propagate Skipped (dead-path
 //     elimination); a skipped node signals all outgoing edges False.
 //   * Structural nodes (splits/joins/loop nodes/end) auto-complete;
-//     activities wait for StartActivity/CompleteActivity.
+//     activities wait for StartActivity/CompleteActivity. An XOR split
+//     whose decision (SelectBranch() override, else its decision data)
+//     names none of its branches waits in Activated, undecided.
 //   * A completing LoopEnd evaluates its loop condition; on iteration the
 //     loop block's markings are reset and the body re-executes.
+//
+// The rules are local: a node's next state depends on its own in-edge
+// signals only. Propagation therefore costs the nodes a step touches, not
+// the schema (see Propagate() below).
 //
 // Dynamic change support: AdoptSchema() swaps the execution schema (entity
 // ids are stable across versions) and ReevaluateMarkings() re-derives all
@@ -89,6 +95,8 @@ class ProcessInstance {
   Status ResumeActivity(NodeId node);
 
   // Overrides the data-driven XOR decision for `split` (consumed once).
+  // kInvalidArgument, and no change, when no branch of `split` carries
+  // `branch_value`.
   Status SelectBranch(NodeId split, int branch_value);
   // Overrides the data-driven loop decision for `loop_end` (consumed once).
   Status SetLoopDecision(NodeId loop_end, bool iterate);
@@ -149,9 +157,12 @@ class ProcessInstance {
   // Exposed for the compliance module's state adaptation.
   Status ReevaluateMarkings();
 
-  // Runs one propagation fixpoint. Needed by the trace-replay compliance
+  // Re-derivation: propagates from the marking as it stands, whatever
+  // changed it. Seeds the targets of every signalled edge plus the
+  // Activated nodes — complete, because a NotActivated node without a
+  // signalled in-edge cannot fire. Needed by the trace-replay compliance
   // checker after seeding data values directly into the data context.
-  Status PropagateMarkings() { return Propagate(); }
+  Status PropagateMarkings();
 
   // Direct marking access for the state adapter (keep trace consistent!).
   Marking* mutable_marking() { return &marking_; }
@@ -170,13 +181,35 @@ class ProcessInstance {
   bool started() const { return started_; }
 
  private:
+  // One step's propagation, to quiescence. The previous drain left the
+  // marking quiescent (or kept its unvisited frontier), so two kinds of
+  // node can fire now: targets of the signal writes made since, which the
+  // frontier holds, and Activated splits and joins, which fire without a
+  // new signal (an XOR split whose decision just arrived). The drain
+  // evaluates those plus every Activated node, and whatever the
+  // evaluations touch in turn. Its order is that of repeated ascending-id
+  // scans over the whole schema, so traces equal a full fixpoint's: within
+  // a pass nodes are visited in ascending id; a node touched while
+  // visiting node c joins this pass if its id exceeds c, else the next; a
+  // node that transitioned is revisited in the next pass. The transition
+  // guard is checked once per pass. On an error the unvisited frontier
+  // stays for the next call; otherwise the frontier gives its capacity
+  // back.
   Status Propagate();
-  Status AutoComplete(const Node& node);
-  Status SignalCompletion(const Node& node);
+  // Evaluates one node against the firing rules; true when it transitioned.
+  Result<bool> Fire(NodeId node);
+  // The one writer of edge signals: sets `edge`'s state and, when it
+  // changed, records `edge.dst` in the frontier.
+  void SetEdgeState(const Edge& edge, EdgeState state);
+  void SignalCompletion(const Node& node);
+  // Completes an XOR split on `decision` (consumes a SelectBranch override).
+  void DecideBranch(const Node& split, int decision);
   void SkipNode(const Node& node);
   Status HandleLoopEnd(const Node& node);
   Result<bool> EvaluateLoopCondition(const Node& node);
-  Result<int> EvaluateDecision(const Node& split);
+  bool HasBranch(const Node& split, int code) const;
+  // The branch code `split` would take now, or nullopt while undecidable.
+  std::optional<int> BranchDecision(const Node& split) const;
   void SetNodeState(NodeId node, NodeState state);
   const BlockTree* block_tree();
 
@@ -200,6 +233,7 @@ class ProcessInstance {
   PersistentMap<NodeId, int64_t> activated_since_;
   std::unordered_map<NodeId, int> selected_branch_;  // one-shot overrides
   std::unordered_map<NodeId, bool> loop_decision_;   // one-shot overrides
+  std::vector<NodeId> frontier_;  // nodes to evaluate by the next pass
 
   std::unique_ptr<BlockTree> block_tree_cache_;
   InstanceObserver* observer_ = nullptr;

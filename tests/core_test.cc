@@ -842,6 +842,70 @@ TEST(AdeptSystemTest, SnapshotPersistsBiasedInstances) {
   EXPECT_TRUE((*recovered)->store().IsBiased(inst_id));
 }
 
+// Regression: a decision value that names no branch of its XOR split used
+// to complete the split with every branch signalled False and fail the
+// completion half-applied — the engine's state ahead of the published
+// snapshot and the WAL, and a retry refused. The split now waits in
+// Activated, undecided, exactly like one without decision data.
+TEST(AdeptSystemTest, UnmatchedXorDecisionLeavesSplitWaiting) {
+  TempDir dir;
+  AdeptOptions options = DurableOptions(dir);
+  auto schema = testing_fixtures::XorSchema();
+  NodeId triage = schema->FindNodeByName("triage");
+  NodeId split = schema->FindNodeByName("xor_split");
+  DataId severity = schema->FindDataByName("severity");
+  InstanceId id;
+  std::string exported;
+  {
+    auto system = AdeptSystem::Create(options);
+    ASSERT_TRUE(system.ok());
+    AdeptSystem& adept = **system;
+    ASSERT_TRUE(adept.DeployProcessType(schema).ok());
+    auto created = adept.CreateInstance("xor_proc");
+    ASSERT_TRUE(created.ok());
+    id = *created;
+    ASSERT_TRUE(adept.StartActivity(id, triage).ok());
+    // The branch codes are 0 and 1.
+    Status st = adept.CompleteActivity(id, triage,
+                                       {{severity, DataValue::Int(7)}});
+    ASSERT_TRUE(st.ok()) << st;
+
+    auto published = adept.SnapshotOf(id);
+    ASSERT_NE(published, nullptr);
+    EXPECT_EQ(published->marking.node(triage), NodeState::kCompleted);
+    EXPECT_EQ(published->marking.node(split), NodeState::kActivated);
+    EXPECT_TRUE(published->running_nodes.empty());
+    EXPECT_FALSE(published->finished);
+    // The live state is exactly what was published.
+    const ProcessInstance& live = *adept.MutableInstance(id);
+    EXPECT_TRUE(live.marking() == published->marking);
+    EXPECT_EQ(RenderInstance(live), RenderInstance(*published));
+    EXPECT_TRUE(live.ActivatedActivities().empty());
+    auto json = adept.ExportInstance(id);
+    ASSERT_TRUE(json.ok());
+    exported = json->Dump();
+  }  // "crash"
+
+  auto recovered = AdeptSystem::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  AdeptSystem& adept = **recovered;
+  auto json = adept.ExportInstance(id);
+  ASSERT_TRUE(json.ok());
+  EXPECT_EQ(json->Dump(), exported);
+
+  // An explicit decision unblocks the instance.
+  ASSERT_TRUE(adept.SelectBranch(id, split, 1).ok());
+  auto decided = adept.SnapshotOf(id);
+  EXPECT_EQ(decided->marking.node(split), NodeState::kCompleted);
+  EXPECT_EQ(decided->marking.node(schema->FindNodeByName("intensive care")),
+            NodeState::kActivated);
+  EXPECT_EQ(decided->marking.node(schema->FindNodeByName("standard care")),
+            NodeState::kSkipped);
+  SimulationDriver driver({.seed = 2});
+  ASSERT_TRUE(adept.DriveToCompletion(id, driver).ok());
+  EXPECT_TRUE(adept.SnapshotOf(id)->finished);
+}
+
 TEST(AdeptSystemTest, RecoveredSystemIsDeterministicReplica) {
   TempDir dir;
   AdeptOptions options = DurableOptions(dir);

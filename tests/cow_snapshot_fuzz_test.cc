@@ -10,7 +10,8 @@
 // The harness drives seeded random schemas (nested AND/XOR/LOOP blocks)
 // through randomized step sequences — activity starts/completes with data
 // writes, suspend/resume, fail/retry, and ad-hoc serial inserts — and
-// asserts canonical equality after every single mutation.
+// asserts canonical equality, and that the marking is the firing rules'
+// fixpoint (tests/marking_oracle.h), after every single mutation.
 
 #include <gtest/gtest.h>
 
@@ -31,6 +32,7 @@
 #include "storage/instance_store.h"
 #include "storage/schema_repository.h"
 #include "storage/state_serialization.h"
+#include "tests/marking_oracle.h"
 
 namespace adept {
 namespace {
@@ -248,6 +250,8 @@ TEST(CowSnapshotFuzzTest, CowSnapshotsMatchDeepCopyAfterEveryMutation) {
       ASSERT_TRUE(progressed.ok()) << "seed " << seed << " step " << step
                                    << ": " << progressed.status();
       RandomSideMutation(rng, *inst, store, step);
+      ASSERT_TRUE(testing_fixtures::MarkingAtFixpoint(*inst))
+          << "seed " << seed << " step " << step;
 
       std::shared_ptr<InstanceSnapshot> snapshot = inst->BuildSnapshot();
       (void)table.Publish(snapshot);

@@ -7,8 +7,9 @@
 //      *own* schema, and the replay-adapted marking equals the live one
 //   3. randomized ad-hoc changes preserve verifiability; changed instances
 //      still finish; overlay and materialized representations agree
-//   4. marking sanity at every step (activated nodes have resolved
-//      predecessors; finished instances have no ready work)
+//   4. marking sanity at every step: the marking is the firing rules'
+//      fixpoint (tests/marking_oracle.h re-scans the whole schema) and
+//      finished instances have no ready work
 
 #include <gtest/gtest.h>
 
@@ -18,10 +19,47 @@
 #include "model/serialization.h"
 #include "runtime/driver.h"
 #include "storage/overlay_schema.h"
+#include "tests/marking_oracle.h"
 #include "verify/verifier.h"
 
 namespace adept {
 namespace {
+
+using testing_fixtures::MarkingAtFixpoint;
+
+// Share of the instance's activities that are Completed or Skipped.
+double Progress(const ProcessInstance& inst) {
+  size_t total = 0, finals = 0;
+  inst.schema().VisitNodes([&](const Node& n) {
+    if (n.type != NodeType::kActivity) return;
+    ++total;
+    if (IsFinalNodeState(inst.node_state(n.id))) ++finals;
+  });
+  return total == 0 ? 1.0 : static_cast<double>(finals) / total;
+}
+
+// SimulationDriver::RunToProgress and RunToCompletion (fraction 1 plus
+// Finished()), checking the fixpoint oracle after every step.
+::testing::AssertionResult StepChecked(SimulationDriver& driver,
+                                       ProcessInstance& inst,
+                                       double fraction) {
+  for (int guard = 0; !inst.Finished() && Progress(inst) < fraction;) {
+    if (++guard > 100000) {
+      return ::testing::AssertionFailure() << "step budget exhausted";
+    }
+    auto progressed = driver.Step(inst);
+    if (!progressed.ok()) {
+      return ::testing::AssertionFailure() << progressed.status();
+    }
+    ::testing::AssertionResult fixpoint = MarkingAtFixpoint(inst);
+    if (!fixpoint) return fixpoint;
+    if (!*progressed) break;
+  }
+  if (fraction >= 1.0 && !inst.Finished()) {
+    return ::testing::AssertionFailure() << "instance is blocked";
+  }
+  return ::testing::AssertionSuccess();
+}
 
 class GeneratedSchemaTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -78,33 +116,12 @@ TEST_P(GeneratedSchemaTest, MarkingSanityDuringExecution) {
   ASSERT_TRUE(inst.Start().ok());
   SimulationDriver driver({.seed = GetParam() + 5});
 
+  ASSERT_TRUE(MarkingAtFixpoint(inst));
   int guard = 0;
   while (!inst.Finished() && ++guard < 2000) {
-    // Invariant: every Activated node has all incoming control edges
-    // TrueSignaled (XOR joins: at least one) and all sync edges resolved.
-    schema->VisitNodes([&](const Node& n) {
-      if (inst.node_state(n.id) != NodeState::kActivated) return;
-      int in_control = 0, in_true = 0;
-      bool sync_pending = false;
-      schema->VisitInEdges(n.id, [&](const Edge& e) {
-        if (e.type == EdgeType::kControl) {
-          ++in_control;
-          if (inst.edge_state(e.id) == EdgeState::kTrueSignaled) ++in_true;
-        } else if (e.type == EdgeType::kSync) {
-          if (inst.edge_state(e.id) == EdgeState::kNotSignaled) {
-            sync_pending = true;
-          }
-        }
-      });
-      if (n.type == NodeType::kXorJoin) {
-        EXPECT_GE(in_true, 1) << n.name;
-      } else if (in_control > 0) {
-        EXPECT_EQ(in_true, in_control) << n.name;
-      }
-      EXPECT_FALSE(sync_pending) << n.name;
-    });
     auto progressed = driver.Step(inst);
     ASSERT_TRUE(progressed.ok());
+    ASSERT_TRUE(MarkingAtFixpoint(inst));
     if (!*progressed) break;
   }
   EXPECT_TRUE(inst.Finished());
@@ -135,7 +152,8 @@ TEST_P(AdHocSweepTest, ChangedInstancesStayHealthy) {
     ProcessInstance* inst = *engine.CreateInstance(schema, *schema_id);
     ASSERT_TRUE(store.Register(inst->id(), *schema_id).ok());
     ASSERT_TRUE(inst->Start().ok());
-    ASSERT_TRUE(driver.RunToProgress(*inst, rng.NextDouble() * 0.7).ok());
+    ASSERT_TRUE(MarkingAtFixpoint(*inst));
+    ASSERT_TRUE(StepChecked(driver, *inst, rng.NextDouble() * 0.7));
 
     // Random op against the base schema.
     std::vector<const Edge*> edges;
@@ -158,6 +176,7 @@ TEST_P(AdHocSweepTest, ChangedInstancesStayHealthy) {
     }
 
     Status st = ApplyAdHocChange(*inst, store, std::move(delta));
+    EXPECT_TRUE(MarkingAtFixpoint(*inst));
     if (!st.ok()) {
       ++rejected;
       // Rejection must leave the instance unbiased and healthy.
@@ -178,9 +197,8 @@ TEST_P(AdHocSweepTest, ChangedInstancesStayHealthy) {
       }
     }
     // Either way the instance must still finish.
-    Status done = driver.RunToCompletion(*inst);
-    EXPECT_TRUE(done.ok()) << "round " << round << " (applied=" << st.ok()
-                           << "): " << done;
+    EXPECT_TRUE(StepChecked(driver, *inst, 1.0))
+        << "round " << round << " (applied=" << st.ok() << ")";
   }
   // The sweep must exercise both paths across seeds (soft check per seed).
   EXPECT_GT(applied + rejected, 0);
@@ -214,6 +232,7 @@ TEST_P(MigrationSweepTest, PopulationMigrationInvariants) {
     EXPECT_NE(r.outcome, MigrationOutcome::kError) << r.detail;
     ProcessInstance* inst = pop->engine.Find(r.id);
     ASSERT_NE(inst, nullptr);
+    EXPECT_TRUE(MarkingAtFixpoint(*inst));
     switch (r.outcome) {
       case MigrationOutcome::kMigrated:
       case MigrationOutcome::kBiasCancelled:

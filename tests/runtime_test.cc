@@ -158,7 +158,16 @@ TEST(InstanceTest, SelectBranchInvalidCodeFails) {
   ProcessInstance inst(InstanceId(1), *schema, SchemaId(1));
   ASSERT_TRUE(inst.Start().ok());
   NodeId split = inst.schema().FindNodeByName("xor_split");
-  EXPECT_FALSE(inst.SelectBranch(split, 7).ok());
+  Status invalid = inst.SelectBranch(split, 7);
+  EXPECT_EQ(invalid.code(), StatusCode::kInvalidArgument) << invalid;
+  // Nothing changed: the split is still undecided, and a valid code then
+  // decides it.
+  EXPECT_EQ(inst.node_state(split), NodeState::kActivated);
+  EXPECT_TRUE(inst.ActivatedActivities().empty());
+  ASSERT_TRUE(inst.SelectBranch(split, 0).ok());
+  EXPECT_EQ(inst.node_state(split), NodeState::kCompleted);
+  EXPECT_EQ(inst.node_state(ByName(inst, "left")), NodeState::kActivated);
+  EXPECT_EQ(inst.node_state(ByName(inst, "right")), NodeState::kSkipped);
 }
 
 TEST(InstanceTest, LoopIteratesAndResets) {
