@@ -5,19 +5,24 @@
 // state pre-conditions -> structural application to a clone ->
 // re-verification -> substitution block diff -> marking re-evaluation.
 //
-// Measured (Release, GCC 12, 4 vCPU), us per change, before -> after
-// mutable schemas kept their adjacency lists:
+// Measured (Release, GCC 12, shared 4 vCPU), us per change, before ->
+// after replayed ops stopped parsing the candidate, Freeze stopped
+// deriving topological ranks and the block parse became one pass:
 //
 //   activities  serialInsert  parallelInsert  deleteActivity  replaceImpl
-//   20            69 ->   40    104 ->   78      69 ->   57     46 ->   36
-//   100          426 ->  409    761 ->  516     513 ->  377    414 ->  333
-//   400         1456 -> 1342   7804 -> 1976    1979 -> 1664   1607 -> 1391
+//   20            52 ->   37     64 ->   47      45 ->   46     45 ->   38
+//   100          369 ->  255    526 ->  274     444 ->  202    427 ->  187
+//   400         1592 ->  649   2111 ->  572    1327 ->  580   1243 ->  657
 //
-// Before, a mutable schema answered every adjacency lookup by scanning all
-// edges, so parallelInsert (which parses the candidate's block structure)
-// paid O(N*E) and grew superlinearly. Now every kind is roughly linear in
-// schema size and within 1.5x of serialInsert; CI gates
-// BM_AdHocChange/1/400 <= 2x BM_AdHocChange/0/400.
+//   BM_BiasedInstanceChange, prior kind / prior changes 0, 4, 12:
+//   serial      1394, 1516, 1689  ->  683, 771,  802
+//   parallel    1269, 3184, 6998  ->  717, 714, 1081
+//
+// AddBias re-applies the whole bias on every change. A parallel insert
+// used to parse the candidate's block structure to check its range, so a
+// change after 12 parallel-insert priors cost 3.8-5.5x one without priors;
+// it now walks the range (1.1-1.5x). CI gates BM_AdHocChange/1/400 <= 2x
+// BM_AdHocChange/0/400 and BM_BiasedInstanceChange/1/12 <= 2x /1/0.
 
 #include <benchmark/benchmark.h>
 
@@ -147,13 +152,16 @@ BENCHMARK(BM_CumulativeBias)
     ->Arg(16)
     ->Unit(benchmark::kMicrosecond);
 
-// The k-th change on an already-biased instance, timed alone. AddBias
-// re-applies the whole bias seeded from the type schema's cached analysis,
-// so only the blocks the bias touches are re-verified; blocks_reused counts
-// the summaries that seed contributes, read from the same verified
+// The k-th change on an already-biased instance, timed alone; the first
+// argument is the kind of the k prior changes (MakeOp: 0 serial insert, 1
+// parallel insert), the timed change is a serial insert. AddBias re-applies
+// the whole bias seeded from the type schema's cached analysis, so only the
+// blocks the bias touches are re-verified; blocks_reused counts the
+// summaries that seed contributes, read from the same verified
 // re-application outside the timed region.
 void BM_BiasedInstanceChange(benchmark::State& state) {
-  int prior = static_cast<int>(state.range(0));
+  int64_t prior_kind = state.range(0);
+  int prior = static_cast<int>(state.range(1));
   size_t reused = 0, total = 0;
   for (auto _ : state) {
     state.PauseTiming();
@@ -163,8 +171,8 @@ void BM_BiasedInstanceChange(benchmark::State& state) {
     (void)setup->store->Register(inst->id(), setup->schema_id);
     (void)inst->Start();
     for (int k = 0; k < prior; ++k) {
-      Status st =
-          ApplyAdHocChange(*inst, *setup->store, MakeOp(inst->schema(), 0, k));
+      Status st = ApplyAdHocChange(*inst, *setup->store,
+                                   MakeOp(inst->schema(), prior_kind, k));
       if (!st.ok()) {
         state.SkipWithError("bias setup failed");
         return;
@@ -191,15 +199,14 @@ void BM_BiasedInstanceChange(benchmark::State& state) {
     }
     state.ResumeTiming();
   }
-  state.SetLabel("prior_bias=" + std::to_string(prior) + "/400 activities");
+  state.SetLabel("prior_bias=" + std::to_string(prior) + " " +
+                 KindName(prior_kind) + "/400 activities");
   state.SetItemsProcessed(state.iterations());
   state.counters["blocks"] = static_cast<double>(total);
   state.counters["blocks_reused"] = static_cast<double>(reused);
 }
 BENCHMARK(BM_BiasedInstanceChange)
-    ->Arg(0)
-    ->Arg(4)
-    ->Arg(12)
+    ->ArgsProduct({{0, 1}, {0, 4, 12}})
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -298,17 +298,11 @@ Status ParallelInsertOp::ApplyTo(ProcessSchema& schema, IdAllocator& alloc) {
     return Status::FailedPrecondition(
         "parallelInsert: region may not include start/end flow");
   }
-  auto tree = BlockTree::Build(schema);
-  if (!tree.ok()) {
-    return Status::FailedPrecondition("parallelInsert: " +
-                                      tree.status().message());
-  }
-  auto region = tree->RegionMembers(from_, to_);
+  Status region = WalkSequenceRange(schema, from_, to_);
   if (!region.ok()) {
     return Status::FailedPrecondition(
         StrFormat("parallelInsert: [n%u .. n%u] is not a SESE region (%s)",
-                  from_.value(), to_.value(),
-                  region.status().message().c_str()));
+                  from_.value(), to_.value(), region.message().c_str()));
   }
 
   ADEPT_ASSIGN_OR_RETURN(Edge entry, SingleControlIn(schema, from_));
@@ -396,12 +390,7 @@ Status BranchInsertOp::ApplyTo(ProcessSchema& schema, IdAllocator& alloc) {
         StrFormat("branchInsert: selection code %d already in use",
                   branch_value_));
   }
-  auto tree = BlockTree::Build(schema);
-  if (!tree.ok()) {
-    return Status::FailedPrecondition("branchInsert: " +
-                                      tree.status().message());
-  }
-  auto join = tree->MatchingExit(split_);
+  auto join = WalkToCloser(schema, split_);
   if (!join.ok()) {
     return Status::FailedPrecondition("branchInsert: split has no join");
   }

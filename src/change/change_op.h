@@ -70,6 +70,15 @@ class ChangeOp {
   // Applies the operation to `schema` (a mutable clone of the base),
   // checking structural pre-conditions. Allocates or re-uses pinned ids via
   // `alloc`.
+  //
+  // Precondition: `schema` is a clone of a verified schema plus the earlier
+  // ops of the same delta. Verified schemas parse into a block tree and the
+  // ops keep the block structure they find, so the ops that need structure
+  // (parallel and branch insertion) ask the walks of model/block_tree.h
+  // instead of parsing the candidate; on a candidate that parses a walk
+  // gives the tree's answer. A candidate that does not parse (a parallel
+  // insert whose range ends at a loop start breaks the nesting) still
+  // fails, at Freeze() or verification rather than inside a later op.
   virtual Status ApplyTo(ProcessSchema& schema, IdAllocator& alloc) = 0;
 
   // Nodes of the *base* schema this op depends on or modifies (anchors of

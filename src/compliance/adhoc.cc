@@ -32,7 +32,7 @@ Status ApplyAdHocChange(ProcessInstance& instance, InstanceStore& store,
   ADEPT_RETURN_IF_ERROR(instance.AdoptSchema(view, instance.schema_ref()));
   instance.set_biased(true);
   instance.mutable_trace().Append(
-      {.kind = TraceEventKind::kAdHocChange, .detail = description});
+      {.kind = TraceEventKind::kAdHocChange, .payload = {{}, description}});
   return Status::OK();
 }
 

@@ -111,7 +111,7 @@ int64_t ResolutionSeq(const ProcessInstance& instance, NodeId node) {
   const auto& events = instance.trace().events();
   for (auto it = events.rbegin(); it != events.rend(); ++it) {
     if (it->kind == TraceEventKind::kLoopReset) {
-      for (NodeId n : it->reset_nodes) {
+      for (NodeId n : it->reset_nodes()) {
         if (n == node) return -1;
       }
     }

@@ -40,7 +40,11 @@ void RemapInstanceState(ProcessInstance& instance, const IdMapping& mapping) {
   for (TraceEvent& e : events) {
     if (e.node.valid()) e.node = map_node(e.node);
     if (e.data.valid()) e.data = map_data(e.data);
-    for (NodeId& n : e.reset_nodes) n = map_node(n);
+    if (!e.reset_nodes().empty()) {
+      std::vector<NodeId> reset = e.reset_nodes();
+      for (NodeId& n : reset) n = map_node(n);
+      e.payload = TracePayload(std::move(reset), e.detail());
+    }
   }
   ExecutionTrace trace;
   trace.Restore(std::move(events));
@@ -251,7 +255,7 @@ Result<InstanceMigrationResult> MigrationManager::MigrateUnbiased(
   ADEPT_RETURN_IF_ERROR(instance.AdoptSchema(view, to));
   instance.mutable_trace().Append(
       {.kind = TraceEventKind::kMigrated,
-       .detail = StrFormat("to version %d", target->version())});
+       .payload = {{}, StrFormat("to version %d", target->version())}});
 
   if (options.verify_adaptation_with_replay) {
     ReplayResult oracle = CheckComplianceByReplay(instance, view);
@@ -326,9 +330,10 @@ Result<InstanceMigrationResult> MigrationManager::MigrateBiased(
       instance.set_biased(false);
       instance.mutable_trace().Append(
           {.kind = TraceEventKind::kMigrated,
-           .detail = StrFormat("to version %d (bias cancelled: %s)",
-                               target->version(),
-                               OverlapKindToString(overlap))});
+           .payload = {{},
+                       StrFormat("to version %d (bias cancelled: %s)",
+                                 target->version(),
+                                 OverlapKindToString(overlap))}});
       result.outcome = MigrationOutcome::kBiasCancelled;
       return result;
     }
@@ -385,8 +390,8 @@ Result<InstanceMigrationResult> MigrationManager::MigrateBiased(
   ADEPT_RETURN_IF_ERROR(instance.AdoptSchema(view, to));
   instance.mutable_trace().Append(
       {.kind = TraceEventKind::kMigrated,
-       .detail =
-           StrFormat("to version %d (bias kept)", target->version())});
+       .payload = {{}, StrFormat("to version %d (bias kept)",
+                                 target->version())}});
 
   if (options.verify_adaptation_with_replay) {
     ReplayResult oracle = CheckComplianceByReplay(instance, view);

@@ -105,7 +105,7 @@ ReplayResult CheckComplianceByReplay(
         break;
       }
       case TraceEventKind::kActivityFailed: {
-        Status st = shadow.FailActivity(event.node, event.detail);
+        Status st = shadow.FailActivity(event.node, event.detail());
         if (!st.ok()) return Fail("replaying failure: " + st.message());
         break;
       }

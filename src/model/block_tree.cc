@@ -18,9 +18,27 @@ std::string NodeDesc(const SchemaView& schema, NodeId id) {
   return n->name.empty() ? std::string(NodeTypeToString(n->type)) : n->name;
 }
 
+// The first control successor of a node (ascending edge id) and how many
+// control successors it has.
+struct ControlNext {
+  NodeId first;
+  size_t count = 0;
+};
+
+ControlNext NextByControl(const SchemaView& schema, NodeId node) {
+  ControlNext next;
+  schema.VisitOutEdges(node, [&next](const Edge& e) {
+    if (e.type != EdgeType::kControl) return;
+    if (next.count++ == 0) next.first = e.dst;
+  });
+  return next;
+}
+
 }  // namespace
 
-// Stateful recursive-descent parser for the block structure.
+// Stateful recursive-descent parser for the block structure. Every node is
+// visited once: a branch is parsed until the first closer it reaches at its
+// own level, and a composite compares the closers its branches reached.
 class BlockTreeBuilder {
  public:
   explicit BlockTreeBuilder(const SchemaView& schema) : schema_(schema) {}
@@ -29,11 +47,11 @@ class BlockTreeBuilder {
     if (!schema_.start_node().valid() || !schema_.end_node().valid()) {
       return Status::VerificationFailed("schema has no start/end node");
     }
+    tree_.node_block_.reserve(schema_.node_count());
     int root = NewBlock(BlockTree::BlockKind::kRoot, -1);
     tree_.blocks_[root].entry = schema_.start_node();
     tree_.blocks_[root].exit = schema_.end_node();
-    ADEPT_RETURN_IF_ERROR(
-        ParseSequence(root, schema_.start_node(), NodeId::Invalid()));
+    ADEPT_RETURN_IF_ERROR(ParseSequence(root, schema_.start_node()).status());
     const auto& seq = tree_.blocks_[root].sequence;
     if (seq.empty() || seq.back().node != schema_.end_node() ||
         seq.back().composite_block != -1) {
@@ -60,6 +78,8 @@ class BlockTreeBuilder {
     return tree_.blocks_.back().index;
   }
 
+  // Every node is assigned once, so revisiting one (a cycle, or two blocks
+  // sharing a closer) fails here; this also bounds the parse.
   Status AssignNode(NodeId node, int block) {
     if (!tree_.node_block_.emplace(node, block).second) {
       return Status::VerificationFailed(
@@ -69,76 +89,47 @@ class BlockTreeBuilder {
     return Status::OK();
   }
 
-  // Unique control successor or error.
-  Result<NodeId> Successor(NodeId node) {
-    auto succs = schema_.Successors(node, EdgeType::kControl);
-    if (succs.size() != 1) {
-      return Status::VerificationFailed(StrFormat(
-          "node %s has %zu control successors, expected exactly 1",
-          NodeDesc(schema_, node).c_str(), succs.size()));
-    }
-    return succs[0];
-  }
-
-  // Parses the sequence starting at `first` into `block` until reaching
-  // `stop` (exclusive; invalid id means: until a node without successor,
-  // used for the root which ends at the end-flow node).
-  Status ParseSequence(int block, NodeId first, NodeId stop) {
+  // Parses the sequence starting at `first` into `block`. A branch ends at
+  // the first closer it reaches at its own level, which is returned (not
+  // assigned: the composite owns it). The root sequence ends after a node
+  // without control successors (the end-flow node) and returns an invalid
+  // id; a closer there is unmatched.
+  Result<NodeId> ParseSequence(int block, NodeId first) {
+    const bool root = tree_.blocks_[block].kind == BlockTree::BlockKind::kRoot;
     NodeId cur = first;
-    size_t guard = 0;
-    while (cur != stop) {
-      if (++guard > schema_.node_count() + 1) {
-        return Status::VerificationFailed(
-            "control flow does not terminate (cycle over control edges?)");
-      }
+    while (true) {
       const Node* node = schema_.FindNode(cur);
       if (node == nullptr) {
         return Status::VerificationFailed("dangling control edge target");
       }
       if (IsBlockCloser(node->type)) {
-        return Status::VerificationFailed(
-            "unmatched block closer " + NodeDesc(schema_, cur));
+        if (root) {
+          return Status::VerificationFailed("unmatched block closer " +
+                                            NodeDesc(schema_, cur));
+        }
+        return cur;
       }
+      // The node whose control successor continues the sequence.
+      NodeId last = cur;
       if (IsBlockOpener(node->type)) {
         ADEPT_ASSIGN_OR_RETURN(Composite comp, ParseComposite(cur, block));
         tree_.blocks_[block].sequence.push_back(
             BlockTree::SequenceItem{cur, comp.block});
-        if (comp.exit == stop) {
-          return Status::VerificationFailed(
-              "block exit " + NodeDesc(schema_, comp.exit) +
-              " coincides with the enclosing sequence boundary");
-        }
-        if (!stop.valid()) {
-          // Root sequence: stop after a node without successors.
-          auto succs = schema_.Successors(comp.exit, EdgeType::kControl);
-          if (succs.empty()) break;
-          if (succs.size() > 1) {
-            return Status::VerificationFailed(
-                "block exit has multiple control successors");
-          }
-          cur = succs[0];
-        } else {
-          ADEPT_ASSIGN_OR_RETURN(cur, Successor(comp.exit));
-        }
-        continue;
-      }
-      // Plain node.
-      ADEPT_RETURN_IF_ERROR(AssignNode(cur, block));
-      tree_.blocks_[block].sequence.push_back(BlockTree::SequenceItem{cur, -1});
-      if (!stop.valid()) {
-        auto succs = schema_.Successors(cur, EdgeType::kControl);
-        if (succs.empty()) break;  // end-flow
-        if (succs.size() > 1) {
-          return Status::VerificationFailed(
-              StrFormat("non-split node %s has %zu control successors",
-                        NodeDesc(schema_, cur).c_str(), succs.size()));
-        }
-        cur = succs[0];
+        last = comp.exit;
       } else {
-        ADEPT_ASSIGN_OR_RETURN(cur, Successor(cur));
+        ADEPT_RETURN_IF_ERROR(AssignNode(cur, block));
+        tree_.blocks_[block].sequence.push_back(
+            BlockTree::SequenceItem{cur, -1});
       }
+      ControlNext next = NextByControl(schema_, last);
+      if (root && next.count == 0) return NodeId::Invalid();  // end-flow
+      if (next.count != 1) {
+        return Status::VerificationFailed(StrFormat(
+            "node %s has %zu control successors, expected exactly 1",
+            NodeDesc(schema_, last).c_str(), next.count));
+      }
+      cur = next.first;
     }
-    return Status::OK();
   }
 
   struct Composite {
@@ -184,17 +175,30 @@ class BlockTreeBuilder {
           "split " + NodeDesc(schema_, opener) + " needs >= 2 branches");
     }
 
-    // Locate the matching closer along every branch; all must agree.
+    int comp = NewBlock(kind, parent);
+    tree_.blocks_[comp].entry = opener;
+    ADEPT_RETURN_IF_ERROR(AssignNode(opener, comp));
+
+    // Parse every branch to the closer it reaches; all must agree.
     NodeId closer;
     for (NodeId head : branch_heads) {
-      ADEPT_ASSIGN_OR_RETURN(NodeId c, WalkToCloser(head));
+      int branch = NewBlock(BlockTree::BlockKind::kBranch, comp);
+      ADEPT_ASSIGN_OR_RETURN(NodeId reached, ParseSequence(branch, head));
       if (!closer.valid()) {
-        closer = c;
-      } else if (closer != c) {
+        closer = reached;
+      } else if (closer != reached) {
         return Status::VerificationFailed(
             "branches of " + NodeDesc(schema_, opener) +
             " meet different joins (" + NodeDesc(schema_, closer) + " vs " +
-            NodeDesc(schema_, c) + ")");
+            NodeDesc(schema_, reached) + ")");
+      }
+      BlockTree::Block& b = tree_.blocks_[branch];
+      b.entry = (head == reached) ? NodeId::Invalid() : head;
+      if (!b.sequence.empty()) {
+        const auto& last = b.sequence.back();
+        b.exit = last.composite_block >= 0
+                     ? tree_.blocks_[last.composite_block].exit
+                     : last.node;
       }
     }
     const Node* close_node = schema_.FindNode(closer);
@@ -212,58 +216,9 @@ class BlockTreeBuilder {
             " lacks a matching loop edge from its loop end");
       }
     }
-
-    int comp = NewBlock(kind, parent);
-    tree_.blocks_[comp].entry = opener;
     tree_.blocks_[comp].exit = closer;
-    ADEPT_RETURN_IF_ERROR(AssignNode(opener, comp));
     ADEPT_RETURN_IF_ERROR(AssignNode(closer, comp));
-
-    for (NodeId head : branch_heads) {
-      int branch = NewBlock(BlockTree::BlockKind::kBranch, comp);
-      tree_.blocks_[branch].entry = (head == closer) ? NodeId::Invalid() : head;
-      ADEPT_RETURN_IF_ERROR(ParseSequence(branch, head, closer));
-      const auto& seq = tree_.blocks_[branch].sequence;
-      if (!seq.empty()) {
-        const auto& last = seq.back();
-        tree_.blocks_[branch].exit =
-            last.composite_block >= 0
-                ? tree_.blocks_[last.composite_block].exit
-                : last.node;
-      }
-    }
     return Composite{comp, closer};
-  }
-
-  // Follows control successors from `from`, counting block nesting, until
-  // the closer that balances depth 0 is found.
-  Result<NodeId> WalkToCloser(NodeId from) {
-    NodeId cur = from;
-    int depth = 0;
-    size_t guard = 0;
-    while (true) {
-      if (++guard > schema_.node_count() + 1) {
-        return Status::VerificationFailed(
-            "no matching join found (unbalanced block nesting)");
-      }
-      const Node* node = schema_.FindNode(cur);
-      if (node == nullptr) {
-        return Status::VerificationFailed("dangling control edge target");
-      }
-      if (IsBlockCloser(node->type)) {
-        if (depth == 0) return cur;
-        --depth;
-      } else if (IsBlockOpener(node->type)) {
-        ++depth;
-      }
-      auto succs = schema_.Successors(cur, EdgeType::kControl);
-      if (succs.empty()) {
-        return Status::VerificationFailed(
-            "branch starting at " + NodeDesc(schema_, from) +
-            " runs into a dead end before reaching a join");
-      }
-      cur = succs[0];
-    }
   }
 
   const SchemaView& schema_;
@@ -335,75 +290,6 @@ std::vector<NodeId> BlockTree::NodesIn(int block) const {
   return out;
 }
 
-Result<std::vector<NodeId>> BlockTree::RegionMembers(NodeId from,
-                                                     NodeId to) const {
-  ADEPT_ASSIGN_OR_RETURN(int bf, BlockOfNode(from));
-  // Map composite blocks to the sequence that contains them as an item.
-  auto owning_sequence = [&](int b, NodeId node) -> Result<int> {
-    const Block& blk = blocks_[b];
-    if (blk.kind == BlockKind::kBranch || blk.kind == BlockKind::kRoot) {
-      return b;
-    }
-    // `node` is the entry or exit of composite `b`; the sequence owning the
-    // composite is its parent branch.
-    (void)node;
-    if (blk.parent < 0) return Status::Internal("composite without parent");
-    return blk.parent;
-  };
-  ADEPT_ASSIGN_OR_RETURN(int seq_f, owning_sequence(bf, from));
-  ADEPT_ASSIGN_OR_RETURN(int bt, BlockOfNode(to));
-  ADEPT_ASSIGN_OR_RETURN(int seq_t, owning_sequence(bt, to));
-  if (seq_f != seq_t) {
-    return Status::FailedPrecondition(
-        "region endpoints are not items of the same sequence block");
-  }
-  const Block& seq = blocks_[seq_f];
-  int idx_from = -1;
-  int idx_to = -1;
-  for (size_t i = 0; i < seq.sequence.size(); ++i) {
-    const SequenceItem& item = seq.sequence[i];
-    NodeId item_exit = item.composite_block >= 0
-                           ? blocks_[item.composite_block].exit
-                           : item.node;
-    if (item.node == from && idx_from < 0) idx_from = static_cast<int>(i);
-    if ((item.node == to || item_exit == to) && idx_to < 0) {
-      idx_to = static_cast<int>(i);
-    }
-  }
-  if (idx_from < 0 || idx_to < 0 || idx_from > idx_to) {
-    return Status::FailedPrecondition(
-        "endpoints do not delimit a forward region of the sequence");
-  }
-  std::vector<NodeId> out;
-  for (int i = idx_from; i <= idx_to; ++i) {
-    const SequenceItem& item = seq.sequence[i];
-    if (item.composite_block >= 0) {
-      CollectNodes(item.composite_block, out);
-    } else {
-      out.push_back(item.node);
-    }
-  }
-  return out;
-}
-
-Result<NodeId> BlockTree::MatchingExit(NodeId entry) const {
-  ADEPT_ASSIGN_OR_RETURN(int b, BlockOfNode(entry));
-  if (blocks_[b].kind == BlockKind::kBranch ||
-      blocks_[b].kind == BlockKind::kRoot || blocks_[b].entry != entry) {
-    return Status::InvalidArgument("node is not a composite block entry");
-  }
-  return blocks_[b].exit;
-}
-
-Result<NodeId> BlockTree::MatchingEntry(NodeId exit) const {
-  ADEPT_ASSIGN_OR_RETURN(int b, BlockOfNode(exit));
-  if (blocks_[b].kind == BlockKind::kBranch ||
-      blocks_[b].kind == BlockKind::kRoot || blocks_[b].exit != exit) {
-    return Status::InvalidArgument("node is not a composite block exit");
-  }
-  return blocks_[b].entry;
-}
-
 int BlockTree::InnermostLoop(NodeId node) const {
   auto b = BlockOfNode(node);
   if (!b.ok()) return -1;
@@ -453,6 +339,112 @@ std::string BlockTree::DebugString(const SchemaView& schema) const {
   };
   dump(0, 0);
   return os.str();
+}
+
+namespace {
+
+// Appends the nodes of the composite opened by `opener` to `out` in
+// BlockTree::NodesIn order and returns its closer.
+Result<NodeId> AppendBlockNodes(const SchemaView& schema, NodeId opener,
+                                std::vector<NodeId>& out) {
+  out.push_back(opener);
+  NodeId closer;
+  for (NodeId head : schema.Successors(opener, EdgeType::kControl)) {
+    NodeId cur = head;
+    while (true) {
+      if (out.size() > schema.node_count()) {
+        return Status::FailedPrecondition(
+            "block of " + NodeDesc(schema, opener) + " does not close");
+      }
+      const Node* node = schema.FindNode(cur);
+      if (node == nullptr) {
+        return Status::FailedPrecondition("dangling control edge target");
+      }
+      if (IsBlockCloser(node->type)) break;
+      NodeId last = cur;
+      if (IsBlockOpener(node->type)) {
+        ADEPT_ASSIGN_OR_RETURN(last, AppendBlockNodes(schema, cur, out));
+      } else {
+        out.push_back(cur);
+      }
+      ControlNext next = NextByControl(schema, last);
+      if (next.count != 1) {
+        return Status::FailedPrecondition(
+            "branch of " + NodeDesc(schema, opener) +
+            " ends before reaching a closer");
+      }
+      cur = next.first;
+    }
+    if (closer.valid() && closer != cur) {
+      return Status::FailedPrecondition(
+          "branches of " + NodeDesc(schema, opener) + " meet different joins");
+    }
+    closer = cur;
+  }
+  if (!closer.valid()) {
+    return Status::FailedPrecondition(
+        "block opener " + NodeDesc(schema, opener) + " has no branches");
+  }
+  out.push_back(closer);
+  return closer;
+}
+
+}  // namespace
+
+Result<NodeId> WalkToCloser(const SchemaView& schema, NodeId opener) {
+  const Node* open_node = schema.FindNode(opener);
+  if (open_node == nullptr || !IsBlockOpener(open_node->type)) {
+    return Status::FailedPrecondition(
+        StrFormat("n%u is not a block opener", opener.value()));
+  }
+  NodeId cur = opener;
+  int depth = 0;
+  for (size_t step = 0; step < schema.node_count(); ++step) {
+    ControlNext next = NextByControl(schema, cur);
+    if (next.count == 0) break;
+    cur = next.first;
+    const Node* node = schema.FindNode(cur);
+    if (node == nullptr) break;
+    if (IsBlockCloser(node->type)) {
+      if (depth == 0) return cur;
+      --depth;
+    } else if (IsBlockOpener(node->type)) {
+      ++depth;
+    }
+  }
+  return Status::FailedPrecondition("no closer matches " +
+                                    NodeDesc(schema, opener));
+}
+
+Status WalkSequenceRange(const SchemaView& schema, NodeId from, NodeId to) {
+  NodeId cur = from;
+  for (size_t step = 0; step < schema.node_count(); ++step) {
+    const Node* node = schema.FindNode(cur);
+    if (node == nullptr || IsBlockCloser(node->type)) break;
+    NodeId last = cur;
+    if (IsBlockOpener(node->type)) {
+      ADEPT_ASSIGN_OR_RETURN(last, WalkToCloser(schema, cur));
+    }
+    if (cur == to || last == to) return Status::OK();
+    ControlNext next = NextByControl(schema, last);
+    if (next.count != 1) break;
+    cur = next.first;
+  }
+  return Status::FailedPrecondition(
+      "the sequence of " + NodeDesc(schema, from) + " ends before reaching " +
+      NodeDesc(schema, to));
+}
+
+Result<std::vector<NodeId>> WalkBlockNodes(const SchemaView& schema,
+                                           NodeId opener) {
+  const Node* open_node = schema.FindNode(opener);
+  if (open_node == nullptr || !IsBlockOpener(open_node->type)) {
+    return Status::FailedPrecondition(
+        StrFormat("n%u is not a block opener", opener.value()));
+  }
+  std::vector<NodeId> out;
+  ADEPT_RETURN_IF_ERROR(AppendBlockNodes(schema, opener, out).status());
+  return out;
 }
 
 }  // namespace adept

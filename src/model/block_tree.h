@@ -12,9 +12,19 @@
 //
 // Branch (and root) blocks carry an ordered list of SequenceItems: a plain
 // node, or a nested composite (represented by its entry node + block index).
-// Change operations use the tree to answer "is [from..to] a SESE region?",
-// "are a and b in different branches of a common parallel block?" (sync-edge
-// insertion), and "which nodes belong to this loop body?" (loop-back reset).
+// The verifier uses the tree to summarize blocks and to check sync edges
+// ("are a and b in different branches of a common parallel block?").
+//
+// Build parses in one pass: each branch is parsed until the first closer it
+// reaches at its own nesting level, and the closers reached by the branches
+// of one split must agree. Every node is visited once.
+//
+// Questions about a single spot of a schema do not need the whole tree.
+// The walks at the end of this header answer them from the nodes involved:
+// "which closer matches this opener?" (branch insertion), "is [from..to] a
+// forward range of one sequence?" (parallel insertion) and "which nodes
+// belong to this block?" (loop-back reset). On every schema Build accepts
+// they give the tree's answer; tests/block_walk_test.cc checks that.
 
 #ifndef ADEPT_MODEL_BLOCK_TREE_H_
 #define ADEPT_MODEL_BLOCK_TREE_H_
@@ -76,16 +86,6 @@ class BlockTree {
   // nested composites; including `block`'s own entry/exit for composites).
   std::vector<NodeId> NodesIn(int block) const;
 
-  // Nodes of the SESE region [from .. to]: both must be items of the same
-  // branch/root sequence (a composite counts as one item, addressed by its
-  // entry node for `from` and by its entry *or* exit node for `to`), with
-  // `from` not after `to`. Returns all nodes of the region in control order.
-  Result<std::vector<NodeId>> RegionMembers(NodeId from, NodeId to) const;
-
-  // Matching closer for a composite entry node (AndJoin for AndSplit, ...).
-  Result<NodeId> MatchingExit(NodeId entry) const;
-  Result<NodeId> MatchingEntry(NodeId exit) const;
-
   // Innermost loop block containing `node`, -1 if none.
   int InnermostLoop(NodeId node) const;
 
@@ -100,6 +100,31 @@ class BlockTree {
   std::vector<Block> blocks_;
   std::unordered_map<NodeId, int> node_block_;
 };
+
+// --- Walks ------------------------------------------------------------------
+//
+// Each walk follows control edges from the nodes it is asked about and
+// costs the part of the schema it crosses, not the schema. On a schema that
+// BlockTree::Build rejects a walk may fail (kFailedPrecondition) or answer
+// from the part it crossed; it never runs longer than node_count() steps.
+
+// The closer matching `opener` (AndJoin for AndSplit, ...): the first
+// closer at nesting depth 0 along the opener's first branch. Equals the
+// exit of the opener's composite block.
+Result<NodeId> WalkToCloser(const SchemaView& schema, NodeId opener);
+
+// OK iff `from` and `to` delimit a forward range of items of one branch or
+// root sequence: walking `from`'s sequence, where a nested composite is one
+// item (entered at its opener, left at its closer), reaches an item whose
+// node or closer is `to` before the sequence ends. `from` must be an item's
+// node: a plain node or an opener.
+Status WalkSequenceRange(const SchemaView& schema, NodeId from, NodeId to);
+
+// The nodes of the composite block opened by `opener`, in the order of
+// BlockTree::NodesIn for that block: the opener, each branch (in ascending
+// edge id order) with nested composites expanded, then the closer.
+Result<std::vector<NodeId>> WalkBlockNodes(const SchemaView& schema,
+                                           NodeId opener);
 
 }  // namespace adept
 

@@ -1,7 +1,6 @@
 #include "model/schema.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "common/string_util.h"
 
@@ -79,6 +78,9 @@ Status ProcessSchema::AddEdgeWithId(Edge edge) {
   uint32_t key = edge.id.value();
   if (edges_.count(key) > 0) {
     return Status::AlreadyExists(StrFormat("edge id %u in use", key));
+  }
+  if (FindNode(edge.src) == nullptr || FindNode(edge.dst) == nullptr) {
+    return Status::InvalidArgument("edge endpoint does not exist");
   }
   InsertEdge(edge);
   next_edge_id_ = std::max(next_edge_id_, key + 1);
@@ -225,14 +227,6 @@ Status ProcessSchema::Freeze() {
     return Status::VerificationFailed("missing start-flow or end-flow node");
   }
 
-  // Edge endpoints must be live (the adjacency lists are already current).
-  for (const auto& [_, e] : edges_) {
-    if (FindNode(e.src) == nullptr || FindNode(e.dst) == nullptr) {
-      return Status::VerificationFailed(
-          StrFormat("edge %u has a dangling endpoint", e.id.value()));
-    }
-  }
-
   node_data_edges_.clear();
   for (size_t i = 0; i < data_edges_.size(); ++i) {
     const DataEdge& de = data_edges_[i];
@@ -243,17 +237,6 @@ Status ProcessSchema::Freeze() {
   }
 
   frozen_ = true;
-
-  // Topological ranks over control edges (may legitimately fail for schemas
-  // that the verifier will reject; record and carry on).
-  std::vector<NodeId> order = TopologicalOrder();
-  topo_rank_.clear();
-  topo_valid_ = order.size() == node_count();
-  if (topo_valid_) {
-    for (size_t i = 0; i < order.size(); ++i) {
-      topo_rank_[order[i].value()] = static_cast<int>(i);
-    }
-  }
 
   // Block structure (also allowed to fail pre-verification).
   auto tree = BlockTree::Build(*this);
@@ -357,16 +340,6 @@ void ProcessSchema::VisitDataEdges(
   }
 }
 
-Result<int> ProcessSchema::TopoRank(NodeId node) const {
-  if (!frozen_) return Status::FailedPrecondition("schema not frozen");
-  if (!topo_valid_) {
-    return Status::FailedPrecondition("control graph is cyclic");
-  }
-  auto it = topo_rank_.find(node.value());
-  if (it == topo_rank_.end()) return Status::NotFound("no such node");
-  return it->second;
-}
-
 Result<const BlockTree*> ProcessSchema::block_tree() const {
   if (!frozen_) return Status::FailedPrecondition("schema not frozen");
   if (!block_tree_.has_value()) {
@@ -402,7 +375,6 @@ size_t ProcessSchema::MemoryFootprint() const {
   for (const auto& [_, v] : node_data_edges_) {
     bytes += kNodeOverhead + v.capacity() * sizeof(size_t);
   }
-  bytes += topo_rank_.size() * (kNodeOverhead / 2 + sizeof(int));
   return bytes;
 }
 

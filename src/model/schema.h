@@ -4,12 +4,18 @@
 // the Add*/Remove* primitives, then Freeze()d. The control/sync/loop
 // adjacency lists are maintained by every edge mutation in both states, so
 // graph lookups cost O(degree) even mid-transformation (change operations
-// parse the block structure of a mutable candidate). Freezing checks edge
-// endpoints, locates the unique start/end nodes, indexes data edges,
-// computes topological ranks, and attempts to parse the block structure.
-// After Freeze() the schema is immutable and may be shared
-// (shared_ptr<const ProcessSchema>) between the repository, instances, and
-// overlay views.
+// walk the block structure of a mutable candidate, model/block_tree.h).
+//
+// No schema holds a dangling edge, and this is enforced at mutation time:
+// AddEdge and AddEdgeWithId reject an edge whose endpoint does not exist,
+// and RemoveNode drops every incident edge. Freezing therefore only locates
+// the unique start/end nodes, indexes data edges and attempts to parse the
+// block structure; it derives nothing else (no topological ranks: the
+// readers of a topological order, the verifier's fallback for unparsable
+// schemas and the monitor's rendering, call SchemaView::TopologicalOrder
+// when they need one). After Freeze() the schema is immutable and may be
+// shared (shared_ptr<const ProcessSchema>) between the repository,
+// instances, and overlay views.
 //
 // Node/edge/data ids are *stable across versions*: Clone() preserves ids and
 // id counters, deleted ids are never reused. This is what lets the
@@ -50,6 +56,7 @@ class ProcessSchema final : public SchemaView {
   // The id must be unused; counters advance past it.
   Status AddNodeWithId(Node node);
 
+  // Both fail (kInvalidArgument) when an endpoint does not exist.
   Result<EdgeId> AddEdge(NodeId src, NodeId dst, EdgeType type,
                          int branch_value = 0);
   Status AddEdgeWithId(Edge edge);
@@ -79,10 +86,10 @@ class ProcessSchema final : public SchemaView {
   // --- Freezing -------------------------------------------------------------
 
   // Switches to immutable state. Fails (kVerificationFailed) only on
-  // malformed shapes that make indexes meaningless: dangling edge
-  // endpoints, missing/duplicate start or end node. Deeper properties
-  // (block nesting, sync-edge rules, data flow) are the verifier's job; a
-  // frozen schema may still be rejected by the verifier.
+  // malformed shapes that make indexes meaningless: a missing/duplicate
+  // start or end node. Deeper properties (block nesting, sync-edge rules,
+  // data flow) are the verifier's job; a frozen schema may still be
+  // rejected by the verifier.
   Status Freeze();
   bool frozen() const { return frozen_; }
 
@@ -116,11 +123,6 @@ class ProcessSchema final : public SchemaView {
       const override;
 
   // --- Frozen-only structural services ---------------------------------------
-
-  // Position of `node` in the control-edge topological order; kNotFound for
-  // unknown nodes, kFailedPrecondition if the control graph was cyclic.
-  Result<int> TopoRank(NodeId node) const;
-  bool topo_valid() const { return topo_valid_; }
 
   // Parsed block structure. kVerificationFailed if parsing failed at
   // Freeze() (malformed nesting); the stored failure message is returned.
@@ -171,8 +173,6 @@ class ProcessSchema final : public SchemaView {
   NodeId start_;
   NodeId end_;
   std::unordered_map<uint32_t, std::vector<size_t>> node_data_edges_;
-  std::unordered_map<uint32_t, int> topo_rank_;
-  bool topo_valid_ = false;
   std::optional<BlockTree> block_tree_;
   std::string block_tree_error_;
 };

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "model/block_tree.h"
 #include "runtime/instance_snapshot.h"
 
 namespace adept {
@@ -21,15 +22,6 @@ ProcessInstance::ProcessInstance(InstanceId id,
                                  std::shared_ptr<const SchemaView> schema,
                                  SchemaId schema_ref)
     : id_(id), schema_(std::move(schema)), schema_ref_(schema_ref) {}
-
-const BlockTree* ProcessInstance::block_tree() {
-  if (block_tree_cache_ == nullptr) {
-    auto tree = BlockTree::Build(*schema_);
-    if (!tree.ok()) return nullptr;
-    block_tree_cache_ = std::make_unique<BlockTree>(std::move(tree).value());
-  }
-  return block_tree_cache_.get();
-}
 
 void ProcessInstance::SetNodeState(NodeId node, NodeState state) {
   NodeState old = marking_.node(node);
@@ -275,23 +267,27 @@ Status ProcessInstance::HandleLoopEnd(const Node& node) {
     SignalCompletion(node);
     return Status::OK();
   }
-  const BlockTree* tree = block_tree();
-  if (tree == nullptr) {
+  // The loop edge leads back to the loop start; the region is the loop
+  // block, walked from there in BlockTree::NodesIn order.
+  NodeId loop_start;
+  schema_->VisitOutEdges(node.id, [&](const Edge& e) {
+    if (e.type == EdgeType::kLoop && !loop_start.valid()) loop_start = e.dst;
+  });
+  if (!loop_start.valid()) {
+    return Status::Internal("loop end without a loop edge");
+  }
+  auto walked = WalkBlockNodes(*schema_, loop_start);
+  if (!walked.ok()) {
     return Status::Internal("loop iteration without parsable block structure");
   }
-  int loop_block = tree->InnermostLoop(node.id);
-  if (loop_block < 0) {
-    return Status::Internal("loop end outside any loop block");
-  }
-  NodeId loop_start = tree->block(loop_block).entry;
-  std::vector<NodeId> region = tree->NodesIn(loop_block);
+  std::vector<NodeId> region = std::move(walked).value();
   const int* prior = loop_iterations_.Find(loop_start);
   int iteration = (prior == nullptr ? 0 : *prior) + 1;
   loop_iterations_.Set(loop_start, iteration);
   trace_.Append({.kind = TraceEventKind::kLoopReset,
                  .node = loop_start,
                  .iteration = iteration,
-                 .reset_nodes = region});
+                 .payload = {region, {}}});
 
   // Erase body markings: node states, plus the states of every non-loop
   // edge whose source lies inside the block (covers internal edges; the
@@ -413,7 +409,7 @@ Status ProcessInstance::FailActivity(NodeId node_id,
   SetNodeState(node_id, NodeState::kFailed);
   trace_.Append({.kind = TraceEventKind::kActivityFailed,
                  .node = node_id,
-                 .detail = reason});
+                 .payload = {{}, reason}});
   return Status::OK();
 }
 
@@ -573,7 +569,6 @@ Status ProcessInstance::AdoptSchema(std::shared_ptr<const SchemaView> schema,
   if (schema == nullptr) return Status::InvalidArgument("null schema");
   schema_ = std::move(schema);
   schema_ref_ = ref;
-  block_tree_cache_.reset();
   return ReevaluateMarkings();
 }
 

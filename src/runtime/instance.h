@@ -43,7 +43,6 @@
 #include "common/ids.h"
 #include "common/persistent_map.h"
 #include "common/status.h"
-#include "model/block_tree.h"
 #include "model/schema_view.h"
 #include "runtime/data_context.h"
 #include "runtime/events.h"
@@ -211,7 +210,6 @@ class ProcessInstance {
   // The branch code `split` would take now, or nullopt while undecidable.
   std::optional<int> BranchDecision(const Node& split) const;
   void SetNodeState(NodeId node, NodeState state);
-  const BlockTree* block_tree();
 
   // Activation check for a NotActivated node; returns the new state
   // (kActivated / kSkipped) or nullopt when the node must keep waiting.
@@ -235,7 +233,6 @@ class ProcessInstance {
   std::unordered_map<NodeId, bool> loop_decision_;   // one-shot overrides
   std::vector<NodeId> frontier_;  // nodes to evaluate by the next pass
 
-  std::unique_ptr<BlockTree> block_tree_cache_;
   InstanceObserver* observer_ = nullptr;
 };
 

@@ -33,6 +33,39 @@ const char* TraceEventKindToString(TraceEventKind k) {
   return "?";
 }
 
+TracePayload::TracePayload(std::vector<NodeId> reset_nodes,
+                           std::string detail) {
+  if (reset_nodes.empty() && detail.empty()) return;
+  fields_ = std::make_unique<Fields>(
+      Fields{std::move(reset_nodes), std::move(detail)});
+}
+
+TracePayload::TracePayload(const TracePayload& other)
+    : fields_(other.fields_ == nullptr
+                  ? nullptr
+                  : std::make_unique<Fields>(*other.fields_)) {}
+
+TracePayload& TracePayload::operator=(const TracePayload& other) {
+  if (this != &other) *this = TracePayload(other);
+  return *this;
+}
+
+const std::vector<NodeId>& TracePayload::reset_nodes() const {
+  static const std::vector<NodeId> kNone;
+  return fields_ == nullptr ? kNone : fields_->reset_nodes;
+}
+
+const std::string& TracePayload::detail() const {
+  static const std::string kNone;
+  return fields_ == nullptr ? kNone : fields_->detail;
+}
+
+size_t TracePayload::MemoryFootprint() const {
+  if (fields_ == nullptr) return 0;
+  return sizeof(Fields) + fields_->detail.capacity() +
+         fields_->reset_nodes.capacity() * sizeof(NodeId);
+}
+
 int64_t ExecutionTrace::Append(TraceEvent event) {
   event.sequence = next_sequence_++;
   events_.push_back(std::move(event));
@@ -50,7 +83,7 @@ std::vector<TraceEvent> ExecutionTrace::Reduced() const {
   std::unordered_map<NodeId, int64_t> erased_until;
   for (auto it = events_.rbegin(); it != events_.rend(); ++it) {
     if (it->kind != TraceEventKind::kLoopReset) continue;
-    for (NodeId n : it->reset_nodes) {
+    for (NodeId n : it->reset_nodes()) {
       auto ins = erased_until.emplace(n, it->sequence);
       if (!ins.second && ins.first->second < it->sequence) {
         ins.first->second = it->sequence;
@@ -73,7 +106,7 @@ int64_t ExecutionTrace::LastStartSeq(NodeId node) const {
   for (auto it = events_.rbegin(); it != events_.rend(); ++it) {
     // A reset erases earlier iterations: stop searching past it.
     if (it->kind == TraceEventKind::kLoopReset) {
-      for (NodeId n : it->reset_nodes) {
+      for (NodeId n : it->reset_nodes()) {
         if (n == node) return -1;
       }
     }
@@ -87,7 +120,7 @@ int64_t ExecutionTrace::LastStartSeq(NodeId node) const {
 int64_t ExecutionTrace::LastCompletionSeq(NodeId node) const {
   for (auto it = events_.rbegin(); it != events_.rend(); ++it) {
     if (it->kind == TraceEventKind::kLoopReset) {
-      for (NodeId n : it->reset_nodes) {
+      for (NodeId n : it->reset_nodes()) {
         if (n == node) return -1;
       }
     }
@@ -101,7 +134,7 @@ int64_t ExecutionTrace::LastCompletionSeq(NodeId node) const {
 std::optional<int> ExecutionTrace::LastBranchChosen(NodeId split) const {
   for (auto it = events_.rbegin(); it != events_.rend(); ++it) {
     if (it->kind == TraceEventKind::kLoopReset) {
-      for (NodeId n : it->reset_nodes) {
+      for (NodeId n : it->reset_nodes()) {
         if (n == split) return std::nullopt;
       }
     }
@@ -114,9 +147,7 @@ std::optional<int> ExecutionTrace::LastBranchChosen(NodeId split) const {
 
 size_t ExecutionTrace::MemoryFootprint() const {
   size_t bytes = sizeof(*this) + events_.capacity() * sizeof(TraceEvent);
-  for (const TraceEvent& e : events_) {
-    bytes += e.detail.capacity() + e.reset_nodes.capacity() * sizeof(NodeId);
-  }
+  for (const TraceEvent& e : events_) bytes += e.payload.MemoryFootprint();
   return bytes;
 }
 
@@ -132,7 +163,7 @@ std::string ExecutionTrace::DebugString() const {
     if (e.kind == TraceEventKind::kLoopReset) {
       os << " iteration=" << e.iteration;
     }
-    if (!e.detail.empty()) os << " (" << e.detail << ")";
+    if (!e.detail().empty()) os << " (" << e.detail() << ")";
     os << "\n";
   }
   return os.str();

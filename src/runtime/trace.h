@@ -12,6 +12,7 @@
 #define ADEPT_RUNTIME_TRACE_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -36,15 +37,49 @@ enum class TraceEventKind {
 
 const char* TraceEventKindToString(TraceEventKind k);
 
+// The rare payloads of a trace event: the region a loop reset erases and a
+// free-text detail (failure reason, change summary, migration target).
+// Most events are starts and completions and carry neither, so both live
+// in one heap block that exists only while one of them is non-empty; an
+// event without them pays one null pointer. Copies are deep.
+class TracePayload {
+ public:
+  TracePayload() = default;
+  TracePayload(std::vector<NodeId> reset_nodes, std::string detail);
+  TracePayload(const TracePayload& other);
+  TracePayload& operator=(const TracePayload& other);
+  TracePayload(TracePayload&&) noexcept = default;
+  TracePayload& operator=(TracePayload&&) noexcept = default;
+
+  const std::vector<NodeId>& reset_nodes() const;
+  const std::string& detail() const;
+
+  // Heap bytes held out of line (0 without payload).
+  size_t MemoryFootprint() const;
+
+ private:
+  struct Fields {
+    std::vector<NodeId> reset_nodes;
+    std::string detail;
+  };
+  std::unique_ptr<Fields> fields_;
+};
+
+// 40 bytes: the scalar fields plus the payload pointer.
 struct TraceEvent {
   int64_t sequence = 0;
   TraceEventKind kind = TraceEventKind::kInstanceStarted;
-  NodeId node{};                     // subject node (if any)
-  DataId data{};                     // subject data element (kDataWrite)
-  int branch_value = 0;              // kBranchChosen
-  int iteration = 0;                 // iteration count of the loop (kLoopReset)
-  std::vector<NodeId> reset_nodes{}; // kLoopReset only
-  std::string detail{};
+  NodeId node{};         // subject node (if any)
+  DataId data{};         // subject data element (kDataWrite)
+  int branch_value = 0;  // kBranchChosen
+  int iteration = 0;     // iteration count of the loop (kLoopReset)
+  TracePayload payload{};
+
+  // kLoopReset only; empty otherwise.
+  const std::vector<NodeId>& reset_nodes() const {
+    return payload.reset_nodes();
+  }
+  const std::string& detail() const { return payload.detail(); }
 };
 
 class ExecutionTrace {

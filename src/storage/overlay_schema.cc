@@ -6,11 +6,7 @@ namespace adept {
 
 OverlaySchema::OverlaySchema(std::shared_ptr<const ProcessSchema> base,
                              std::shared_ptr<const SubstitutionBlock> block)
-    : base_(std::move(base)), block_(std::move(block)) {
-  VisitNodes([&](const Node&) { ++node_count_; });
-  VisitEdges([&](const Edge&) { ++edge_count_; });
-  VisitData([&](const DataElement&) { ++data_count_; });
-}
+    : base_(std::move(base)), block_(std::move(block)) {}
 
 const Node* OverlaySchema::FindNode(NodeId id) const {
   auto it = block_->nodes.find(id);

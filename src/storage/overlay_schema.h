@@ -27,9 +27,10 @@ class OverlaySchema final : public SchemaView {
   int version() const override { return block_->version; }
   NodeId start_node() const override { return base_->start_node(); }
   NodeId end_node() const override { return base_->end_node(); }
-  size_t node_count() const override { return node_count_; }
-  size_t edge_count() const override { return edge_count_; }
-  size_t data_count() const override { return data_count_; }
+  // The block carries the counts; the view never walks itself for them.
+  size_t node_count() const override { return block_->node_count; }
+  size_t edge_count() const override { return block_->edge_count; }
+  size_t data_count() const override { return block_->data_count; }
 
   const Node* FindNode(NodeId id) const override;
   const Edge* FindEdge(EdgeId id) const override;
@@ -64,9 +65,6 @@ class OverlaySchema final : public SchemaView {
 
   std::shared_ptr<const ProcessSchema> base_;
   std::shared_ptr<const SubstitutionBlock> block_;
-  size_t node_count_ = 0;
-  size_t edge_count_ = 0;
-  size_t data_count_ = 0;
 };
 
 }  // namespace adept

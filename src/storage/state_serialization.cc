@@ -55,12 +55,12 @@ JsonValue TraceToJson(const ExecutionTrace& trace) {
     if (ev.data.valid()) e.Set("d", JsonValue(ev.data.value()));
     if (ev.branch_value != 0) e.Set("b", JsonValue(ev.branch_value));
     if (ev.iteration != 0) e.Set("i", JsonValue(ev.iteration));
-    if (!ev.reset_nodes.empty()) {
+    if (!ev.reset_nodes().empty()) {
       JsonValue rn = JsonValue::MakeArray();
-      for (NodeId n : ev.reset_nodes) rn.Append(JsonValue(n.value()));
+      for (NodeId n : ev.reset_nodes()) rn.Append(JsonValue(n.value()));
       e.Set("r", std::move(rn));
     }
-    if (!ev.detail.empty()) e.Set("t", JsonValue(ev.detail));
+    if (!ev.detail().empty()) e.Set("t", JsonValue(ev.detail()));
     events.Append(std::move(e));
   }
   JsonValue j = JsonValue::MakeObject();
@@ -83,10 +83,11 @@ Result<ExecutionTrace> TraceFromJson(const JsonValue& json) {
     }
     ev.branch_value = static_cast<int>(e.Get("b").as_int());
     ev.iteration = static_cast<int>(e.Get("i").as_int());
+    std::vector<NodeId> reset_nodes;
     for (const JsonValue& r : e.Get("r").as_array()) {
-      ev.reset_nodes.push_back(NodeId(static_cast<uint32_t>(r.as_int())));
+      reset_nodes.push_back(NodeId(static_cast<uint32_t>(r.as_int())));
     }
-    ev.detail = e.Get("t").as_string();
+    ev.payload = TracePayload(std::move(reset_nodes), e.Get("t").as_string());
     events.push_back(std::move(ev));
   }
   ExecutionTrace trace;

@@ -11,22 +11,32 @@ bool DataEdgeEq(const DataEdge& a, const DataEdge& b) {
          a.optional == b.optional;
 }
 
-JsonValue DataEdgeToJson(const DataEdge& de) {
-  JsonValue j = JsonValue::MakeObject();
-  j.Set("node", JsonValue(de.node.value()));
-  j.Set("data", JsonValue(de.data.value()));
-  j.Set("mode", JsonValue(static_cast<int>(de.mode)));
-  if (de.optional) j.Set("optional", JsonValue(true));
-  return j;
-}
-
-DataEdge DataEdgeFromJson(const JsonValue& j) {
-  DataEdge de;
-  de.node = NodeId(static_cast<uint32_t>(j.Get("node").as_int()));
-  de.data = DataId(static_cast<uint32_t>(j.Get("data").as_int()));
-  de.mode = static_cast<AccessMode>(j.Get("mode").as_int());
-  de.optional = j.Get("optional").is_bool() && j.Get("optional").as_bool();
-  return de;
+// One merge of two entity sequences that both visit in ascending id order.
+// An id only `biased` has, or whose entity differs, goes to `changed`; an id
+// only `base` has goes to `removed`. Both are filled in ascending id order.
+template <typename Entity, typename Id, typename VisitBase,
+          typename VisitBiased>
+void MergeById(const VisitBase& visit_base, const VisitBiased& visit_biased,
+               size_t biased_count, std::unordered_map<Id, Entity>& changed,
+               std::unordered_set<Id>& removed) {
+  std::vector<const Entity*> biased;
+  biased.reserve(biased_count);
+  visit_biased([&](const Entity& e) { biased.push_back(&e); });
+  size_t next = 0;
+  visit_base([&](const Entity& b) {
+    for (; next < biased.size() && biased[next]->id < b.id; ++next) {
+      changed.emplace(biased[next]->id, *biased[next]);
+    }
+    if (next < biased.size() && biased[next]->id == b.id) {
+      if (!(*biased[next] == b)) changed.emplace(b.id, *biased[next]);
+      ++next;
+    } else {
+      removed.insert(b.id);
+    }
+  });
+  for (; next < biased.size(); ++next) {
+    changed.emplace(biased[next]->id, *biased[next]);
+  }
 }
 
 }  // namespace
@@ -56,30 +66,22 @@ SubstitutionBlock ComputeSubstitutionBlock(const ProcessSchema& base,
   block.next_edge_id = biased.next_edge_id();
   block.next_data_id = biased.next_data_id();
   block.version = biased.version();
+  block.node_count = biased.node_count();
+  block.edge_count = biased.edge_count();
+  block.data_count = biased.data_count();
 
-  biased.VisitNodes([&](const Node& n) {
-    const Node* b = base.FindNode(n.id);
-    if (b == nullptr || !(*b == n)) block.nodes.emplace(n.id, n);
-  });
-  base.VisitNodes([&](const Node& n) {
-    if (biased.FindNode(n.id) == nullptr) block.removed_nodes.insert(n.id);
-  });
-
-  biased.VisitEdges([&](const Edge& e) {
-    const Edge* b = base.FindEdge(e.id);
-    if (b == nullptr || !(*b == e)) block.edges.emplace(e.id, e);
-  });
-  base.VisitEdges([&](const Edge& e) {
-    if (biased.FindEdge(e.id) == nullptr) block.removed_edges.insert(e.id);
-  });
-
-  biased.VisitData([&](const DataElement& d) {
-    const DataElement* b = base.FindData(d.id);
-    if (b == nullptr || !(*b == d)) block.data.emplace(d.id, d);
-  });
-  base.VisitData([&](const DataElement& d) {
-    if (biased.FindData(d.id) == nullptr) block.removed_data.insert(d.id);
-  });
+  MergeById<Node, NodeId>(
+      [&](const auto& fn) { base.VisitNodes(fn); },
+      [&](const auto& fn) { biased.VisitNodes(fn); }, biased.node_count(),
+      block.nodes, block.removed_nodes);
+  MergeById<Edge, EdgeId>(
+      [&](const auto& fn) { base.VisitEdges(fn); },
+      [&](const auto& fn) { biased.VisitEdges(fn); }, biased.edge_count(),
+      block.edges, block.removed_edges);
+  MergeById<DataElement, DataId>(
+      [&](const auto& fn) { base.VisitData(fn); },
+      [&](const auto& fn) { biased.VisitData(fn); }, biased.data_count(),
+      block.data, block.removed_data);
 
   for (const DataEdge& de : biased.data_edges()) {
     bool in_base =
@@ -92,158 +94,6 @@ SubstitutionBlock ComputeSubstitutionBlock(const ProcessSchema& base,
         std::any_of(biased.data_edges().begin(), biased.data_edges().end(),
                     [&](const DataEdge& b) { return DataEdgeEq(b, de); });
     if (!in_biased) block.removed_data_edges.push_back(de);
-  }
-  return block;
-}
-
-JsonValue SubstitutionBlock::ToJson() const {
-  JsonValue j = JsonValue::MakeObject();
-  j.Set("version", JsonValue(version));
-  j.Set("next_node_id", JsonValue(next_node_id));
-  j.Set("next_edge_id", JsonValue(next_edge_id));
-  j.Set("next_data_id", JsonValue(next_data_id));
-
-  JsonValue nodes_json = JsonValue::MakeArray();
-  std::vector<NodeId> node_ids;
-  for (const auto& [id, _] : nodes) node_ids.push_back(id);
-  std::sort(node_ids.begin(), node_ids.end());
-  for (NodeId id : node_ids) {
-    const Node& n = nodes.at(id);
-    JsonValue nj = JsonValue::MakeObject();
-    nj.Set("id", JsonValue(n.id.value()));
-    nj.Set("type", JsonValue(static_cast<int>(n.type)));
-    nj.Set("name", JsonValue(n.name));
-    if (!n.activity_template.empty()) {
-      nj.Set("tmpl", JsonValue(n.activity_template));
-    }
-    if (n.role.valid()) nj.Set("role", JsonValue(n.role.value()));
-    if (n.server.valid()) nj.Set("server", JsonValue(n.server.value()));
-    if (n.decision_data.valid()) {
-      nj.Set("decision", JsonValue(n.decision_data.value()));
-    }
-    if (n.loop_data.valid()) {
-      nj.Set("loop_data", JsonValue(n.loop_data.value()));
-    }
-    nodes_json.Append(std::move(nj));
-  }
-  j.Set("nodes", std::move(nodes_json));
-
-  JsonValue edges_json = JsonValue::MakeArray();
-  std::vector<EdgeId> edge_ids;
-  for (const auto& [id, _] : edges) edge_ids.push_back(id);
-  std::sort(edge_ids.begin(), edge_ids.end());
-  for (EdgeId id : edge_ids) {
-    const Edge& e = edges.at(id);
-    JsonValue ej = JsonValue::MakeObject();
-    ej.Set("id", JsonValue(e.id.value()));
-    ej.Set("src", JsonValue(e.src.value()));
-    ej.Set("dst", JsonValue(e.dst.value()));
-    ej.Set("type", JsonValue(static_cast<int>(e.type)));
-    if (e.branch_value != 0) ej.Set("branch", JsonValue(e.branch_value));
-    edges_json.Append(std::move(ej));
-  }
-  j.Set("edges", std::move(edges_json));
-
-  JsonValue data_json = JsonValue::MakeArray();
-  std::vector<DataId> data_ids;
-  for (const auto& [id, _] : data) data_ids.push_back(id);
-  std::sort(data_ids.begin(), data_ids.end());
-  for (DataId id : data_ids) {
-    const DataElement& d = data.at(id);
-    JsonValue dj = JsonValue::MakeObject();
-    dj.Set("id", JsonValue(d.id.value()));
-    dj.Set("name", JsonValue(d.name));
-    dj.Set("type", JsonValue(static_cast<int>(d.type)));
-    data_json.Append(std::move(dj));
-  }
-  j.Set("data", std::move(data_json));
-
-  auto id_array = [](const auto& set) {
-    std::vector<uint32_t> ids;
-    for (const auto& id : set) ids.push_back(id.value());
-    std::sort(ids.begin(), ids.end());
-    JsonValue arr = JsonValue::MakeArray();
-    for (uint32_t v : ids) arr.Append(JsonValue(v));
-    return arr;
-  };
-  j.Set("removed_nodes", id_array(removed_nodes));
-  j.Set("removed_edges", id_array(removed_edges));
-  j.Set("removed_data", id_array(removed_data));
-
-  JsonValue added_de = JsonValue::MakeArray();
-  for (const DataEdge& de : added_data_edges) {
-    added_de.Append(DataEdgeToJson(de));
-  }
-  j.Set("added_data_edges", std::move(added_de));
-  JsonValue removed_de = JsonValue::MakeArray();
-  for (const DataEdge& de : removed_data_edges) {
-    removed_de.Append(DataEdgeToJson(de));
-  }
-  j.Set("removed_data_edges", std::move(removed_de));
-  return j;
-}
-
-Result<SubstitutionBlock> SubstitutionBlock::FromJson(const JsonValue& json) {
-  if (!json.is_object()) {
-    return Status::Corruption("substitution block json malformed");
-  }
-  SubstitutionBlock block;
-  block.version = static_cast<int>(json.Get("version").as_int());
-  block.next_node_id = static_cast<uint32_t>(json.Get("next_node_id").as_int());
-  block.next_edge_id = static_cast<uint32_t>(json.Get("next_edge_id").as_int());
-  block.next_data_id = static_cast<uint32_t>(json.Get("next_data_id").as_int());
-
-  for (const JsonValue& nj : json.Get("nodes").as_array()) {
-    Node n;
-    n.id = NodeId(static_cast<uint32_t>(nj.Get("id").as_int()));
-    n.type = static_cast<NodeType>(nj.Get("type").as_int());
-    n.name = nj.Get("name").as_string();
-    n.activity_template = nj.Get("tmpl").as_string();
-    if (nj.Has("role")) {
-      n.role = RoleId(static_cast<uint32_t>(nj.Get("role").as_int()));
-    }
-    if (nj.Has("server")) {
-      n.server = ServerId(static_cast<uint32_t>(nj.Get("server").as_int()));
-    }
-    if (nj.Has("decision")) {
-      n.decision_data =
-          DataId(static_cast<uint32_t>(nj.Get("decision").as_int()));
-    }
-    if (nj.Has("loop_data")) {
-      n.loop_data = DataId(static_cast<uint32_t>(nj.Get("loop_data").as_int()));
-    }
-    block.nodes.emplace(n.id, std::move(n));
-  }
-  for (const JsonValue& ej : json.Get("edges").as_array()) {
-    Edge e;
-    e.id = EdgeId(static_cast<uint32_t>(ej.Get("id").as_int()));
-    e.src = NodeId(static_cast<uint32_t>(ej.Get("src").as_int()));
-    e.dst = NodeId(static_cast<uint32_t>(ej.Get("dst").as_int()));
-    e.type = static_cast<EdgeType>(ej.Get("type").as_int());
-    e.branch_value = static_cast<int>(ej.Get("branch").as_int());
-    block.edges.emplace(e.id, e);
-  }
-  for (const JsonValue& dj : json.Get("data").as_array()) {
-    DataElement d;
-    d.id = DataId(static_cast<uint32_t>(dj.Get("id").as_int()));
-    d.name = dj.Get("name").as_string();
-    d.type = static_cast<DataType>(dj.Get("type").as_int());
-    block.data.emplace(d.id, std::move(d));
-  }
-  for (const JsonValue& v : json.Get("removed_nodes").as_array()) {
-    block.removed_nodes.insert(NodeId(static_cast<uint32_t>(v.as_int())));
-  }
-  for (const JsonValue& v : json.Get("removed_edges").as_array()) {
-    block.removed_edges.insert(EdgeId(static_cast<uint32_t>(v.as_int())));
-  }
-  for (const JsonValue& v : json.Get("removed_data").as_array()) {
-    block.removed_data.insert(DataId(static_cast<uint32_t>(v.as_int())));
-  }
-  for (const JsonValue& v : json.Get("added_data_edges").as_array()) {
-    block.added_data_edges.push_back(DataEdgeFromJson(v));
-  }
-  for (const JsonValue& v : json.Get("removed_data_edges").as_array()) {
-    block.removed_data_edges.push_back(DataEdgeFromJson(v));
   }
   return block;
 }

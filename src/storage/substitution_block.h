@@ -8,7 +8,12 @@
 // The block is computed as a structural diff (added/replaced and removed
 // entities), which by construction guarantees
 //     overlay(base, block) == apply(bias delta, base)
-// — a property the test suite checks for randomized deltas.
+// — a property the test suite checks for randomized deltas. Both schemas
+// visit their entities in ascending id order, so the diff is one merge per
+// entity kind. The block also records the biased schema's entity counts,
+// which an overlay reports without walking itself.
+//
+// A block is never serialized: recovery re-derives it from the bias.
 
 #ifndef ADEPT_STORAGE_SUBSTITUTION_BLOCK_H_
 #define ADEPT_STORAGE_SUBSTITUTION_BLOCK_H_
@@ -18,8 +23,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/json.h"
-#include "common/status.h"
 #include "model/node.h"
 #include "model/schema.h"
 
@@ -45,6 +48,11 @@ struct SubstitutionBlock {
   uint32_t next_data_id = 0;
   int version = 0;
 
+  // Live entity counts of the biased schema.
+  size_t node_count = 0;
+  size_t edge_count = 0;
+  size_t data_count = 0;
+
   bool empty() const {
     return nodes.empty() && edges.empty() && data.empty() &&
            added_data_edges.empty() && removed_nodes.empty() &&
@@ -53,9 +61,6 @@ struct SubstitutionBlock {
   }
 
   size_t MemoryFootprint() const;
-
-  JsonValue ToJson() const;
-  static Result<SubstitutionBlock> FromJson(const JsonValue& json);
 };
 
 // Diffs `biased` against `base`.

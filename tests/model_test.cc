@@ -324,16 +324,6 @@ TEST(SchemaViewTest, TopologicalOrderRespectsEdges) {
   });
 }
 
-TEST(SchemaViewTest, TopoRankAvailableAfterFreeze) {
-  auto schema = OnlineOrderV1();
-  auto rank_start = schema->TopoRank(schema->start_node());
-  auto rank_end = schema->TopoRank(schema->end_node());
-  ASSERT_TRUE(rank_start.ok());
-  ASSERT_TRUE(rank_end.ok());
-  EXPECT_EQ(*rank_start, 0);
-  EXPECT_EQ(static_cast<size_t>(*rank_end), schema->node_count() - 1);
-}
-
 TEST(BlockTreeTest, ParsesSequence) {
   auto schema = SequenceSchema(4);
   auto tree = schema->block_tree();
@@ -353,12 +343,14 @@ TEST(BlockTreeTest, ParsesParallelBlock) {
   EXPECT_EQ(t.size(), 4u);
   NodeId split = schema->FindNodeByName("and_split");
   NodeId join = schema->FindNodeByName("and_join");
-  auto exit = t.MatchingExit(split);
+  auto block = t.BlockOfNode(split);
+  ASSERT_TRUE(block.ok());
+  EXPECT_EQ(t.block(*block).exit, join);
+  auto exit = WalkToCloser(*schema, split);
   ASSERT_TRUE(exit.ok());
   EXPECT_EQ(*exit, join);
-  auto entry = t.MatchingEntry(join);
-  ASSERT_TRUE(entry.ok());
-  EXPECT_EQ(*entry, split);
+  // Only openers have a closer.
+  EXPECT_FALSE(WalkToCloser(*schema, join).ok());
 }
 
 TEST(BlockTreeTest, ParallelBranchDetection) {
@@ -389,6 +381,9 @@ TEST(BlockTreeTest, LoopBlockAndMembership) {
   auto nodes = (*tree)->NodesIn(loop);
   // loop start + check + loop end
   EXPECT_EQ(nodes.size(), 3u);
+  auto walked = WalkBlockNodes(*schema, (*tree)->block(loop).entry);
+  ASSERT_TRUE(walked.ok()) << walked.status();
+  EXPECT_EQ(*walked, nodes);
 }
 
 TEST(BlockTreeTest, NestedBlocksParse) {
@@ -400,35 +395,36 @@ TEST(BlockTreeTest, NestedBlocksParse) {
   EXPECT_EQ((*tree)->size(), 9u);
 }
 
-TEST(BlockTreeTest, RegionMembersForSequence) {
+TEST(BlockWalkTest, SequenceRangeInOneSequence) {
   auto schema = SequenceSchema(5);
-  auto tree = schema->block_tree();
-  ASSERT_TRUE(tree.ok());
   NodeId a2 = schema->FindNodeByName("a2");
   NodeId a4 = schema->FindNodeByName("a4");
-  auto region = (*tree)->RegionMembers(a2, a4);
-  ASSERT_TRUE(region.ok()) << region.status();
-  EXPECT_EQ(region->size(), 3u);
+  EXPECT_TRUE(WalkSequenceRange(*schema, a2, a4).ok());
+  EXPECT_TRUE(WalkSequenceRange(*schema, a2, a2).ok());
 
   // Reversed endpoints are rejected.
-  EXPECT_FALSE((*tree)->RegionMembers(a4, a2).ok());
+  EXPECT_FALSE(WalkSequenceRange(*schema, a4, a2).ok());
 }
 
-TEST(BlockTreeTest, RegionMembersAcrossComposite) {
+TEST(BlockWalkTest, SequenceRangeAcrossComposite) {
   auto schema = OnlineOrderV1();
-  auto tree = schema->block_tree();
-  ASSERT_TRUE(tree.ok());
   NodeId collect = schema->FindNodeByName("collect data");
   NodeId pack = schema->FindNodeByName("pack goods");
-  auto region = (*tree)->RegionMembers(collect, pack);
-  ASSERT_TRUE(region.ok()) << region.status();
-  // collect data + and_split + confirm + compose + and_join + pack goods
-  EXPECT_EQ(region->size(), 6u);
+  NodeId split = schema->FindNodeByName("and_split");
+  NodeId join = schema->FindNodeByName("and_join");
+  // The AND block is one item of the root sequence.
+  EXPECT_TRUE(WalkSequenceRange(*schema, collect, pack).ok());
+  EXPECT_TRUE(WalkSequenceRange(*schema, split, join).ok());
+  EXPECT_TRUE(WalkSequenceRange(*schema, collect, join).ok());
+  // A closer is no item's node, so no range starts there.
+  EXPECT_FALSE(WalkSequenceRange(*schema, join, pack).ok());
 
-  // Endpoints in different branches do not form a region.
+  // Endpoints in different branches do not form a region, and a branch
+  // ends before the join that closes it.
   NodeId confirm = schema->FindNodeByName("confirm order");
   NodeId compose = schema->FindNodeByName("compose order");
-  EXPECT_FALSE((*tree)->RegionMembers(confirm, compose).ok());
+  EXPECT_FALSE(WalkSequenceRange(*schema, confirm, compose).ok());
+  EXPECT_FALSE(WalkSequenceRange(*schema, confirm, pack).ok());
 }
 
 TEST(BlockTreeTest, RejectsUnmatchedJoin) {
@@ -490,6 +486,33 @@ TEST(SerializationTest, RejectsGarbage) {
   JsonValue wrong_format = JsonValue::MakeObject();
   wrong_format.Set("format", JsonValue(99));
   EXPECT_FALSE(SchemaFromJson(wrong_format).ok());
+}
+
+// No schema holds a dangling edge: AddEdgeWithId refuses one while the
+// schema is read, before Freeze() would see it.
+TEST(SerializationTest, RejectsDanglingEdge) {
+  auto schema = OnlineOrderV1();
+  std::string text = SchemaToJson(*schema).Dump();
+  const std::string key = "\"dst\":";
+  size_t at = text.find(key);
+  ASSERT_NE(at, std::string::npos);
+  at += key.size();
+  size_t end = text.find_first_not_of("0123456789", at);
+  text.replace(at, end - at, "9999");
+  auto json = JsonValue::Parse(text);
+  ASSERT_TRUE(json.ok());
+  auto restored = SchemaFromJson(*json);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument)
+      << restored.status();
+
+  auto copy = schema->Clone();
+  Edge dangling;
+  dangling.id = EdgeId(copy->next_edge_id());
+  dangling.src = schema->start_node();
+  dangling.dst = NodeId(9999);
+  EXPECT_EQ(copy->AddEdgeWithId(dangling).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(SerializationTest, MaterializeViewCopiesAll) {

@@ -203,7 +203,7 @@ TEST(InstanceTest, LoopIteratesAndResets) {
     if (e.kind == TraceEventKind::kLoopReset) {
       reset_seen = true;
       EXPECT_EQ(e.iteration, 1);
-      EXPECT_EQ(e.reset_nodes.size(), 3u);
+      EXPECT_EQ(e.reset_nodes().size(), 3u);
     }
   }
   EXPECT_TRUE(reset_seen);

@@ -41,6 +41,66 @@ Delta OneSerialInsert(const ProcessSchema& base, const std::string& name,
   return delta;
 }
 
+// The block the merge computes holds what looking every entity up in the
+// other schema finds: added or changed entities of `biased` (in full) and
+// ids only `base` has.
+void ExpectBlockMatchesLookupDiff(const ProcessSchema& base,
+                                  const ProcessSchema& biased,
+                                  const SubstitutionBlock& block) {
+  size_t nodes = 0, edges = 0, data = 0;
+  biased.VisitNodes([&](const Node& n) {
+    const Node* b = base.FindNode(n.id);
+    auto it = block.nodes.find(n.id);
+    if (b == nullptr || !(*b == n)) {
+      ++nodes;
+      ASSERT_NE(it, block.nodes.end()) << "node " << n.id;
+      EXPECT_EQ(it->second, n);
+    } else {
+      EXPECT_EQ(it, block.nodes.end()) << "node " << n.id;
+    }
+  });
+  biased.VisitEdges([&](const Edge& e) {
+    const Edge* b = base.FindEdge(e.id);
+    auto it = block.edges.find(e.id);
+    if (b == nullptr || !(*b == e)) {
+      ++edges;
+      ASSERT_NE(it, block.edges.end()) << "edge " << e.id;
+      EXPECT_EQ(it->second, e);
+    } else {
+      EXPECT_EQ(it, block.edges.end()) << "edge " << e.id;
+    }
+  });
+  biased.VisitData([&](const DataElement& d) {
+    const DataElement* b = base.FindData(d.id);
+    if (b == nullptr || !(*b == d)) {
+      ++data;
+      EXPECT_EQ(block.data.count(d.id), 1u) << "data " << d.id;
+    }
+  });
+  EXPECT_EQ(block.nodes.size(), nodes);
+  EXPECT_EQ(block.edges.size(), edges);
+  EXPECT_EQ(block.data.size(), data);
+  size_t removed_nodes = 0, removed_edges = 0, removed_data = 0;
+  base.VisitNodes([&](const Node& n) {
+    bool gone = biased.FindNode(n.id) == nullptr;
+    removed_nodes += gone ? 1 : 0;
+    EXPECT_EQ(block.removed_nodes.count(n.id), gone ? 1u : 0u);
+  });
+  base.VisitEdges([&](const Edge& e) {
+    bool gone = biased.FindEdge(e.id) == nullptr;
+    removed_edges += gone ? 1 : 0;
+    EXPECT_EQ(block.removed_edges.count(e.id), gone ? 1u : 0u);
+  });
+  base.VisitData([&](const DataElement& d) {
+    bool gone = biased.FindData(d.id) == nullptr;
+    removed_data += gone ? 1 : 0;
+    EXPECT_EQ(block.removed_data.count(d.id), gone ? 1u : 0u);
+  });
+  EXPECT_EQ(block.removed_nodes.size(), removed_nodes);
+  EXPECT_EQ(block.removed_edges.size(), removed_edges);
+  EXPECT_EQ(block.removed_data.size(), removed_data);
+}
+
 TEST(SubstitutionBlockTest, DiffCapturesInsert) {
   auto base = OnlineOrderV1();
   Delta delta = OneSerialInsert(*base, "extra", "get order", "collect data");
@@ -79,19 +139,6 @@ TEST(SubstitutionBlockTest, EmptyDiffForIdenticalSchemas) {
   EXPECT_TRUE(block.empty());
 }
 
-TEST(SubstitutionBlockTest, JsonRoundTrip) {
-  auto base = OnlineOrderV1();
-  Delta delta = OneSerialInsert(*base, "extra", "pack goods", "deliver goods");
-  BiasIdAllocator alloc;
-  auto biased = delta.ApplyToSchema(*base, base->version(), &alloc);
-  ASSERT_TRUE(biased.ok());
-  SubstitutionBlock block = ComputeSubstitutionBlock(*base, **biased);
-
-  auto restored = SubstitutionBlock::FromJson(block.ToJson());
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  EXPECT_EQ(restored->ToJson().Dump(), block.ToJson().Dump());
-}
-
 // Property: overlay(base, diff(base, biased)) is observably identical to
 // the biased schema, across randomized deltas on a non-trivial base.
 TEST(OverlayTest, OverlayEquivalentToMaterialized) {
@@ -101,7 +148,7 @@ TEST(OverlayTest, OverlayEquivalentToMaterialized) {
 
   for (int round = 0; round < 30; ++round) {
     // Random delta: insert into a random control edge, delete a random
-    // activity, or both.
+    // activity, or both; sometimes also replace an activity's template.
     Delta delta;
     std::vector<const Edge*> control_edges;
     std::vector<NodeId> activities;
@@ -124,6 +171,13 @@ TEST(OverlayTest, OverlayEquivalentToMaterialized) {
       delta.Add(std::make_unique<DeleteActivityOp>(
           activities[rng.NextIndex(activities.size())]));
     }
+    // Half the deltas also change a base node in place, which the block
+    // must carry as a replacement under the same id.
+    if (rng.NextBool()) {
+      delta.Add(std::make_unique<ReplaceActivityImplOp>(
+          activities[rng.NextIndex(activities.size())],
+          "impl" + std::to_string(round)));
+    }
 
     BiasIdAllocator alloc;
     auto biased = delta.ApplyRaw(*base, base->version(), &alloc);
@@ -131,12 +185,21 @@ TEST(OverlayTest, OverlayEquivalentToMaterialized) {
 
     auto block = std::make_shared<const SubstitutionBlock>(
         ComputeSubstitutionBlock(*base, **biased));
+    ExpectBlockMatchesLookupDiff(*base, **biased, *block);
     OverlaySchema overlay(base, block);
 
-    // Counts agree.
+    // Counts agree, and the counts the block carries are what walking
+    // the overlay finds.
     ASSERT_EQ(overlay.node_count(), (*biased)->node_count());
     ASSERT_EQ(overlay.edge_count(), (*biased)->edge_count());
     ASSERT_EQ(overlay.data_count(), (*biased)->data_count());
+    size_t nodes = 0, edges = 0, data = 0;
+    overlay.VisitNodes([&](const Node&) { ++nodes; });
+    overlay.VisitEdges([&](const Edge&) { ++edges; });
+    overlay.VisitData([&](const DataElement&) { ++data; });
+    EXPECT_EQ(overlay.node_count(), nodes);
+    EXPECT_EQ(overlay.edge_count(), edges);
+    EXPECT_EQ(overlay.data_count(), data);
 
     // Entity-by-entity agreement, both directions.
     (*biased)->VisitNodes([&](const Node& n) {
@@ -483,6 +546,74 @@ TEST_F(InstanceStoreTest, MemoryStatsOrdering) {
   EXPECT_GT(overlay_mem.blocks, 0u);
   EXPECT_EQ(overlay_mem.full_copies, 0u);
   EXPECT_GT(copy_mem.full_copies, overlay_mem.blocks * 2);
+}
+
+// Every payload kind survives the JSON form: a loop reset's region, the
+// detail of a failure, an ad-hoc change and a migration, an event with
+// both and events with neither. The expected text is what TraceToJson
+// wrote when both payloads were inline fields of the event; Reduced()
+// keeps the same events.
+TEST(StateSerializationTest, TraceRoundTripKeepsEveryPayload) {
+  ExecutionTrace trace;
+  trace.Append({.kind = TraceEventKind::kInstanceStarted});
+  trace.Append({.kind = TraceEventKind::kActivityStarted, .node = NodeId(3)});
+  trace.Append({.kind = TraceEventKind::kDataWrite,
+                .node = NodeId(3),
+                .data = DataId(2)});
+  trace.Append(
+      {.kind = TraceEventKind::kActivityCompleted, .node = NodeId(3)});
+  trace.Append({.kind = TraceEventKind::kBranchChosen,
+                .node = NodeId(4),
+                .branch_value = 2});
+  trace.Append({.kind = TraceEventKind::kActivitySkipped, .node = NodeId(5)});
+  trace.Append({.kind = TraceEventKind::kActivityFailed,
+                .node = NodeId(6),
+                .payload = {{}, "disk full"}});
+  trace.Append({.kind = TraceEventKind::kActivityRetried, .node = NodeId(6)});
+  trace.Append({.kind = TraceEventKind::kLoopReset,
+                .node = NodeId(7),
+                .iteration = 1,
+                .payload = {{NodeId(7), NodeId(3), NodeId(8)}, {}}});
+  trace.Append({.kind = TraceEventKind::kAdHocChange,
+                .payload = {{}, "serialInsert('x', n1 -> n2)"}});
+  trace.Append(
+      {.kind = TraceEventKind::kMigrated, .payload = {{}, "to version 2"}});
+  trace.Append({.kind = TraceEventKind::kLoopReset,
+                .node = NodeId(7),
+                .iteration = 2,
+                .payload = {{NodeId(7)}, "both"}});
+
+  JsonValue json = TraceToJson(trace);
+  EXPECT_EQ(
+      json.Dump(),
+      R"js({"events":[{"k":0,"q":0},{"k":1,"n":3,"q":1},{"d":2,"k":7,"n":3,"q":2},)js"
+      R"js({"k":2,"n":3,"q":3},{"b":2,"k":8,"n":4,"q":4},{"k":3,"n":5,"q":5},)js"
+      R"js({"k":4,"n":6,"q":6,"t":"disk full"},{"k":5,"n":6,"q":7},)js"
+      R"js({"i":1,"k":6,"n":7,"q":8,"r":[7,3,8]},)js"
+      R"js({"k":9,"q":9,"t":"serialInsert('x', n1 -> n2)"},)js"
+      R"js({"k":10,"q":10,"t":"to version 2"},)js"
+      R"js({"i":2,"k":6,"n":7,"q":11,"r":[7],"t":"both"}]})js");
+
+  auto reparsed = JsonValue::Parse(json.Dump());
+  ASSERT_TRUE(reparsed.ok());
+  auto restored = TraceFromJson(*reparsed);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ(TraceToJson(*restored).Dump(), json.Dump());
+  EXPECT_EQ(restored->DebugString(), trace.DebugString());
+  ASSERT_EQ(restored->events().size(), trace.events().size());
+  for (size_t i = 0; i < trace.events().size(); ++i) {
+    EXPECT_EQ(restored->events()[i].reset_nodes(),
+              trace.events()[i].reset_nodes());
+    EXPECT_EQ(restored->events()[i].detail(), trace.events()[i].detail());
+  }
+  // Events without payloads hold none.
+  EXPECT_EQ(restored->events()[1].payload.MemoryFootprint(), 0u);
+
+  // The first reset erases node 3's start, write and completion; the
+  // second names node 7 again and so erases the first.
+  std::vector<int64_t> kept;
+  for (const TraceEvent& e : restored->Reduced()) kept.push_back(e.sequence);
+  EXPECT_EQ(kept, (std::vector<int64_t>{0, 4, 5, 6, 7, 9, 10, 11}));
 }
 
 TEST(StateSerializationTest, InstanceStateRoundTrip) {

@@ -44,6 +44,13 @@ GATES = [
       "--benchmark_min_time=0.2"],
      "BM_AdHocChange/1/400", "BM_AdHocChange/0/400",
      "<=", 2),
+    ("change after 12 parallel-insert priors / after none",
+     "adhoc_bias_gate.json",
+     ["bench_adhoc_change",
+      "--benchmark_filter=BM_BiasedInstanceChange/1/(0|12)$",
+      "--benchmark_min_time=0.2"],
+     "BM_BiasedInstanceChange/1/12", "BM_BiasedInstanceChange/1/0",
+     "<=", 2),
     ("migration round after 41 versions / after 2 versions",
      "migrate_gate.json",
      ["bench_fig3_report",
