@@ -11,90 +11,6 @@
 
 namespace adept {
 
-// --- BatchOp factories -------------------------------------------------------
-
-AdeptCluster::BatchOp AdeptCluster::BatchOp::Create(std::string type_name) {
-  BatchOp op;
-  op.kind = Kind::kCreate;
-  op.type_name = std::move(type_name);
-  return op;
-}
-
-AdeptCluster::BatchOp AdeptCluster::BatchOp::CreateOn(SchemaId schema) {
-  BatchOp op;
-  op.kind = Kind::kCreate;
-  op.schema = schema;
-  return op;
-}
-
-AdeptCluster::BatchOp AdeptCluster::BatchOp::Start(InstanceId id,
-                                                   NodeId node) {
-  BatchOp op;
-  op.kind = Kind::kStart;
-  op.id = id;
-  op.node = node;
-  return op;
-}
-
-AdeptCluster::BatchOp AdeptCluster::BatchOp::Complete(
-    InstanceId id, NodeId node,
-    std::vector<ProcessInstance::DataWrite> writes) {
-  BatchOp op;
-  op.kind = Kind::kComplete;
-  op.id = id;
-  op.node = node;
-  op.writes = std::move(writes);
-  return op;
-}
-
-AdeptCluster::BatchOp AdeptCluster::BatchOp::Fail(InstanceId id, NodeId node,
-                                                  std::string reason) {
-  BatchOp op;
-  op.kind = Kind::kFail;
-  op.id = id;
-  op.node = node;
-  op.reason = std::move(reason);
-  return op;
-}
-
-AdeptCluster::BatchOp AdeptCluster::BatchOp::SelectBranch(InstanceId id,
-                                                          NodeId node,
-                                                          int branch_value) {
-  BatchOp op;
-  op.kind = Kind::kSelectBranch;
-  op.id = id;
-  op.node = node;
-  op.branch_value = branch_value;
-  return op;
-}
-
-AdeptCluster::BatchOp AdeptCluster::BatchOp::LoopDecision(InstanceId id,
-                                                          NodeId node,
-                                                          bool iterate) {
-  BatchOp op;
-  op.kind = Kind::kLoopDecision;
-  op.id = id;
-  op.node = node;
-  op.iterate = iterate;
-  return op;
-}
-
-AdeptCluster::BatchOp AdeptCluster::BatchOp::DriveStep(InstanceId id) {
-  BatchOp op;
-  op.kind = Kind::kDriveStep;
-  op.id = id;
-  return op;
-}
-
-AdeptCluster::BatchOp AdeptCluster::BatchOp::AdHocChange(InstanceId id,
-                                                         Delta delta) {
-  BatchOp op;
-  op.kind = Kind::kAdHocChange;
-  op.id = id;
-  op.delta = std::make_shared<Delta>(std::move(delta));
-  return op;
-}
-
 // --- Construction / recovery -------------------------------------------------
 
 AdeptCluster::AdeptCluster(const ClusterOptions& options) : options_(options) {}
@@ -122,6 +38,14 @@ Result<std::unique_ptr<SimulationDriver>> MakeShardDriver(
   DriverOptions driver_options = options.driver;
   driver_options.seed += static_cast<uint64_t>(index);
   return std::make_unique<SimulationDriver>(driver_options);
+}
+
+// min(shards, cores) threads: more only adds context switching, and the
+// caller thread runs one task of every fan-out itself.
+std::unique_ptr<WorkerPool> MakePool(size_t shards) {
+  return std::make_unique<WorkerPool>(std::min(
+      shards,
+      static_cast<size_t>(std::max(1u, std::thread::hardware_concurrency()))));
 }
 
 // True when shard `index` left durable state at the configured base paths.
@@ -183,13 +107,7 @@ Result<std::unique_ptr<AdeptCluster>> AdeptCluster::Build(
     ADEPT_ASSIGN_OR_RETURN(shard->driver, MakeShardDriver(options, i));
     cluster->shards_.push_back(std::move(shard));
   }
-  size_t threads =
-      options.worker_threads > 0
-          ? static_cast<size_t>(options.worker_threads)
-          : std::min(static_cast<size_t>(options.shards),
-                     static_cast<size_t>(
-                         std::max(1u, std::thread::hardware_concurrency())));
-  cluster->pool_ = std::make_unique<WorkerPool>(threads);
+  cluster->pool_ = MakePool(cluster->shards_.size());
   cluster->PublishReadView();
   return cluster;
 }
@@ -528,48 +446,6 @@ Result<std::shared_ptr<const ProcessSchema>> AdeptCluster::Schema(
 
 // --- Instance lifecycle (routed) ---------------------------------------------
 
-InstanceId AdeptCluster::NextIdLocked(size_t shard_index) {
-  Shard& shard = *shards_[shard_index];
-  return routing_.IdFor(shard_index, shard.next_seq++);
-}
-
-Result<InstanceId> AdeptCluster::CreateOnShard(size_t shard_index,
-                                               const std::string& type_name,
-                                               SchemaId schema) {
-  ADEPT_RETURN_IF_ERROR(CheckTopology());
-  ADEPT_RETURN_IF_ERROR(CheckShardWritable(shard_index));
-  Shard& shard = *shards_[shard_index];
-  uint64_t lsn = 0;
-  Result<InstanceId> created = [&]() -> Result<InstanceId> {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (!schema.valid()) {
-      ADEPT_ASSIGN_OR_RETURN(schema, shard.system->LatestVersion(type_name));
-    }
-    auto result =
-        shard.system->CreateInstanceWithId(schema, NextIdLocked(shard_index));
-    lsn = shard.system->last_enqueued_lsn();
-    return result;
-  }();
-  if (!created.ok()) return created;
-  ADEPT_RETURN_IF_ERROR(shard.system->WaitWalDurable(lsn));
-  return created;
-}
-
-Result<InstanceId> AdeptCluster::CreateInstance(const std::string& type_name) {
-  return CreateOnShard(NextCreationShard(), type_name, SchemaId::Invalid());
-}
-
-Result<InstanceId> AdeptCluster::CreateInstanceOn(SchemaId schema) {
-  return CreateOnShard(NextCreationShard(), std::string(), schema);
-}
-
-const ProcessInstance* AdeptCluster::InstanceImpl(InstanceId id) const {
-  if (!id.valid()) return nullptr;
-  const Shard& shard = *shards_[ShardOf(id)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.system->engine().Find(id);
-}
-
 Status AdeptCluster::WithInstance(
     InstanceId id,
     const std::function<void(const ProcessInstance&)>& fn) const {
@@ -707,101 +583,11 @@ void AdeptCluster::ForEachSnapshot(
   }
 }
 
-// Pipelined routing: the engine turn and the WAL enqueue happen under the
-// shard lock, the durability wait after it — a thread working shard A waits
-// for A's writer while a thread on shard B is already inside B's engine.
-template <typename Fn>
-auto AdeptCluster::RouteDurable(InstanceId id, Fn&& fn)
-    -> decltype(fn(std::declval<AdeptSystem&>())) {
-  Status topology = CheckTopology();
-  if (!topology.ok()) return topology;
-  const size_t shard_index = ShardOf(id);
-  // Fenced / no-live-quorum shards refuse BEFORE mutating: the caller can
-  // safely re-issue elsewhere, which a mid-flight quorum timeout (maybe-
-  // applied) never allows.
-  Status writable = CheckShardWritable(shard_index);
-  if (!writable.ok()) return writable;
-  Shard& shard = *shards_[shard_index];
-  uint64_t lsn = 0;
-  auto result = [&] {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto inner = fn(*shard.system);
-    lsn = shard.system->last_enqueued_lsn();
-    return inner;
-  }();
-  if (!result.ok()) return result;
-  Status durable = shard.system->WaitWalDurable(lsn);
-  if (!durable.ok()) return durable;
+OpResult AdeptCluster::Apply(const InstanceOp& op) {
+  static constexpr size_t kOnly[] = {0};
+  BatchResult result;
+  WriteShard(ShardFor(op), &op, kOnly, 1, &result);
   return result;
-}
-
-Status AdeptCluster::StartActivity(InstanceId id, NodeId node) {
-  return RouteDurable(
-      id, [&](AdeptSystem& system) { return system.StartActivity(id, node); });
-}
-
-Status AdeptCluster::CompleteActivity(
-    InstanceId id, NodeId node,
-    const std::vector<ProcessInstance::DataWrite>& writes) {
-  return RouteDurable(id, [&](AdeptSystem& system) {
-    return system.CompleteActivity(id, node, writes);
-  });
-}
-
-Status AdeptCluster::FailActivity(InstanceId id, NodeId node,
-                                  const std::string& reason) {
-  return RouteDurable(id, [&](AdeptSystem& system) {
-    return system.FailActivity(id, node, reason);
-  });
-}
-
-Status AdeptCluster::RetryActivity(InstanceId id, NodeId node) {
-  return RouteDurable(
-      id, [&](AdeptSystem& system) { return system.RetryActivity(id, node); });
-}
-
-Status AdeptCluster::SuspendActivity(InstanceId id, NodeId node) {
-  return RouteDurable(id, [&](AdeptSystem& system) {
-    return system.SuspendActivity(id, node);
-  });
-}
-
-Status AdeptCluster::ResumeActivity(InstanceId id, NodeId node) {
-  return RouteDurable(
-      id, [&](AdeptSystem& system) { return system.ResumeActivity(id, node); });
-}
-
-Status AdeptCluster::SelectBranch(InstanceId id, NodeId split,
-                                  int branch_value) {
-  return RouteDurable(id, [&](AdeptSystem& system) {
-    return system.SelectBranch(id, split, branch_value);
-  });
-}
-
-Status AdeptCluster::SetLoopDecision(InstanceId id, NodeId loop_end,
-                                     bool iterate) {
-  return RouteDurable(id, [&](AdeptSystem& system) {
-    return system.SetLoopDecision(id, loop_end, iterate);
-  });
-}
-
-Result<bool> AdeptCluster::DriveStep(InstanceId id, SimulationDriver& driver) {
-  return RouteDurable(
-      id, [&](AdeptSystem& system) { return system.DriveStep(id, driver); });
-}
-
-Status AdeptCluster::DriveToCompletion(InstanceId id, SimulationDriver& driver,
-                                       int max_steps) {
-  return RouteDurable(id, [&](AdeptSystem& system) {
-    return system.DriveToCompletion(id, driver, max_steps);
-  });
-}
-
-Status AdeptCluster::ApplyAdHocChange(InstanceId id, Delta delta) {
-  return RouteDurable(
-      id, [&, delta = std::move(delta)](AdeptSystem& system) mutable {
-        return system.ApplyAdHocChange(id, std::move(delta));
-      });
 }
 
 // --- Dynamic change (fan-out) ------------------------------------------------
@@ -1192,13 +978,7 @@ Status AdeptCluster::Resize(int new_shard_count) {
   PublishReadView();
   read_epoch_.fetch_add(1, std::memory_order_acq_rel);
 
-  // Size the worker pool for the new shard count (unless pinned).
-  if (options_.worker_threads <= 0) {
-    const size_t threads =
-        std::min(m, static_cast<size_t>(
-                        std::max(1u, std::thread::hardware_concurrency())));
-    pool_ = std::make_unique<WorkerPool>(threads);
-  }
+  pool_ = MakePool(m);
 
   // Self-check sweep: reconcile the worklist with engine truth under the
   // new placement (a no-op when the handover was clean).
@@ -1208,134 +988,82 @@ Status AdeptCluster::Resize(int new_shard_count) {
 
 // --- Batch execution ---------------------------------------------------------
 
-AdeptCluster::BatchResult AdeptCluster::ExecuteOpLocked(Shard& shard,
-                                                        size_t shard_index,
-                                                        const BatchOp& op) {
-  BatchResult result;
-  result.id = op.id;
-  result.shard = shard_index;
-  AdeptSystem& system = *shard.system;
-  // Capture the shard's WAL position right after the op so the result
-  // carries its exact LSN (the failover reconciliation key).
-  struct LsnStamp {
-    AdeptSystem& system;
-    BatchResult& result;
-    ~LsnStamp() { result.lsn = system.last_enqueued_lsn(); }
-  } stamp{system, result};
-  switch (op.kind) {
-    case BatchOp::Kind::kCreate: {
-      SchemaId schema = op.schema;
-      if (!schema.valid()) {
-        auto latest = system.LatestVersion(op.type_name);
-        if (!latest.ok()) {
-          result.status = latest.status();
-          return result;
-        }
-        schema = *latest;
-      }
-      auto created =
-          system.CreateInstanceWithId(schema, NextIdLocked(shard_index));
-      if (created.ok()) {
-        result.id = *created;
-      } else {
-        result.status = created.status();
-      }
-      return result;
+// Pipelined routing: the engine turns and the WAL enqueues happen under the
+// shard lock, the durability wait after it — a thread working shard A waits
+// for A's writer while a thread on shard B is already inside B's engine.
+void AdeptCluster::WriteShard(size_t shard_index, const InstanceOp* ops,
+                              const size_t* group, size_t count,
+                              BatchResult* results) {
+  // Fenced / no-live-quorum shards refuse BEFORE mutating: the caller can
+  // safely re-issue elsewhere, which a mid-flight quorum timeout (maybe-
+  // applied) never allows. Healthy shards of the same batch proceed.
+  Status gate = CheckTopology();
+  if (gate.ok()) gate = CheckShardWritable(shard_index);
+  if (!gate.ok()) {
+    for (size_t i = 0; i < count; ++i) {
+      BatchResult& result = results[group[i]];
+      result.status = gate;
+      result.id = ops[group[i]].id;
+      result.shard = shard_index;
     }
-    case BatchOp::Kind::kStart:
-      result.status = system.StartActivity(op.id, op.node);
-      return result;
-    case BatchOp::Kind::kComplete:
-      result.status = system.CompleteActivity(op.id, op.node, op.writes);
-      return result;
-    case BatchOp::Kind::kFail:
-      result.status = system.FailActivity(op.id, op.node, op.reason);
-      return result;
-    case BatchOp::Kind::kSelectBranch:
-      result.status = system.SelectBranch(op.id, op.node, op.branch_value);
-      return result;
-    case BatchOp::Kind::kLoopDecision:
-      result.status = system.SetLoopDecision(op.id, op.node, op.iterate);
-      return result;
-    case BatchOp::Kind::kDriveStep: {
-      auto progressed = system.DriveStep(op.id, *shard.driver);
-      if (progressed.ok()) {
-        result.progressed = *progressed;
-      } else {
-        result.status = progressed.status();
-      }
-      return result;
-    }
-    case BatchOp::Kind::kAdHocChange: {
-      if (op.delta == nullptr) {
-        result.status = Status::InvalidArgument("batch ad-hoc op needs delta");
-        return result;
-      }
-      result.status = system.ApplyAdHocChange(op.id, op.delta->Clone());
-      return result;
-    }
+    return;
   }
-  result.status = Status::Internal("unknown batch op kind");
-  return result;
+  Shard& shard = *shards_[shard_index];
+  AdeptSystem& system = *shard.system;
+  uint64_t first_lsn = 0;
+  uint64_t last_lsn = 0;
+  {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    first_lsn = system.last_enqueued_lsn();
+    for (size_t i = 0; i < count; ++i) {
+      const InstanceOp& op = ops[group[i]];
+      BatchResult& result = results[group[i]];
+      if (op.kind == InstanceOp::Kind::kCreate) {
+        // A create gets this shard's next shard-affine id.
+        InstanceOp placed = op;
+        placed.id = routing_.IdFor(shard_index, shard.next_seq++);
+        result = system.Apply(placed);
+      } else if (op.kind == InstanceOp::Kind::kDriveStep &&
+                 op.driver == nullptr) {
+        // A step that names no driver runs with this shard's own.
+        InstanceOp placed = op;
+        placed.driver = shard.driver.get();
+        result = system.Apply(placed);
+      } else {
+        result = system.Apply(op);
+      }
+      result.shard = shard_index;
+    }
+    last_lsn = system.last_enqueued_lsn();
+  }
+  // Group commit: one durability wait covers the whole group. On failure
+  // every op that reported success is downgraded — its record may not
+  // have survived.
+  if (last_lsn == first_lsn) return;
+  Status durable = system.WaitWalDurable(last_lsn);
+  if (durable.ok()) return;
+  for (size_t i = 0; i < count; ++i) {
+    BatchResult& result = results[group[i]];
+    if (result.status.ok()) result.status = durable;
+  }
 }
 
 std::vector<AdeptCluster::BatchResult> AdeptCluster::SubmitBatch(
     const std::vector<BatchOp>& ops) {
   std::vector<BatchResult> results(ops.size());
-  Status topology = CheckTopology();
-  if (!topology.ok()) {
-    for (size_t i = 0; i < ops.size(); ++i) {
-      results[i].status = topology;
-      results[i].id = ops[i].id;
-    }
-    return results;
-  }
   // Route every op up front (creates get their round-robin placement here),
   // then run one task per shard that has work.
   std::vector<std::vector<size_t>> by_shard(shards_.size());
   for (size_t i = 0; i < ops.size(); ++i) {
-    size_t shard_index = ops[i].kind == BatchOp::Kind::kCreate
-                             ? NextCreationShard()
-                             : ShardOf(ops[i].id);
-    by_shard[shard_index].push_back(i);
+    by_shard[ShardFor(ops[i])].push_back(i);
   }
   std::vector<std::function<void()>> tasks;
   for (size_t shard_index = 0; shard_index < by_shard.size(); ++shard_index) {
-    if (by_shard[shard_index].empty()) continue;
-    tasks.push_back([this, shard_index, &by_shard, &ops, &results] {
-      // The fail-fast gate runs per shard group: a no-quorum/fenced shard
-      // rejects its whole group before any mutation (definitely-not-
-      // applied), while healthy shards of the same batch proceed.
-      Status writable = CheckShardWritable(shard_index);
-      if (!writable.ok()) {
-        for (size_t op_index : by_shard[shard_index]) {
-          results[op_index].status = writable;
-          results[op_index].id = ops[op_index].id;
-          results[op_index].shard = shard_index;
-        }
-        return;
-      }
-      Shard& shard = *shards_[shard_index];
-      uint64_t lsn = 0;
-      {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        for (size_t op_index : by_shard[shard_index]) {
-          results[op_index] =
-              ExecuteOpLocked(shard, shard_index, ops[op_index]);
-        }
-        lsn = shard.system->last_enqueued_lsn();
-      }
-      // Batch-level group commit: one durability wait covers the whole
-      // shard group, after the lock is released. On failure every op that
-      // reported success is downgraded — its record may not have survived.
-      Status durable = shard.system->WaitWalDurable(lsn);
-      if (!durable.ok()) {
-        for (size_t op_index : by_shard[shard_index]) {
-          if (results[op_index].status.ok()) {
-            results[op_index].status = durable;
-          }
-        }
-      }
+    const std::vector<size_t>& group = by_shard[shard_index];
+    if (group.empty()) continue;
+    tasks.push_back([this, shard_index, &group, &ops, &results] {
+      WriteShard(shard_index, ops.data(), group.data(), group.size(),
+                 results.data());
     });
   }
   RunParallel(std::move(tasks));

@@ -33,10 +33,13 @@
 //                      per-shard streams. Recover() rebuilds every shard
 //                      and re-derives the per-shard id allocators.
 //
-// SubmitBatch() is the scale-out entry point: heterogeneous operations are
-// grouped by owning shard and the groups execute in parallel on a small
-// worker pool — one lock acquisition per shard per batch instead of one
-// per operation.
+// Writes: every instance write is one InstanceOp (core/instance_op.h), and
+// one per-shard routine (WriteShard) runs it: topology and writable gates,
+// shard lock, AdeptSystem::Apply, unlock, durability wait. Apply() calls it
+// inline with one op; SubmitBatch(), the scale-out entry point, groups
+// heterogeneous ops by owning shard and calls it once per group in
+// parallel on a small worker pool — one lock acquisition per shard per
+// batch instead of one per operation.
 //
 // Observers registered via AddObserver() are invoked from worker threads
 // (under the owning shard's lock) and must be thread-safe.
@@ -85,7 +88,9 @@ struct ClusterReplicationStatus {
 };
 
 struct ClusterOptions {
-  // Number of instance partitions (and worker threads, unless overridden).
+  // Number of instance partitions. The worker pool runs min(shards, cores)
+  // threads: more threads than cores only adds context switching, and the
+  // caller thread already executes one shard group of every fan-out itself.
   int shards = 4;
   // Per-shard AdeptSystem defaults (see AdeptOptions).
   StorageStrategy default_strategy = StorageStrategy::kOverlay;
@@ -95,13 +100,9 @@ struct ClusterOptions {
   // Durability level of each shard's group-commit WAL writer (see SyncMode
   // in storage/wal.h).
   SyncMode sync = SyncMode::kFlush;
-  // Seed/policy of the shard-local drivers behind BatchOp::DriveStep (shard
-  // k runs with seed `driver.seed + k`).
+  // Seed/policy of the shard-local drivers that plan a drive step naming no
+  // driver (shard k runs with seed `driver.seed + k`).
   DriverOptions driver{};
-  // Worker pool size; 0 sizes it to min(shards, hardware concurrency) —
-  // more threads than cores only adds context switching, and the caller
-  // thread already executes one shard group of every fan-out itself.
-  int worker_threads = 0;
   // Maintain per-shard secondary query indexes (src/query/README.md);
   // when off, Query() falls back to full snapshot scans.
   bool query_indexes = true;
@@ -207,10 +208,12 @@ class AdeptCluster : public AdeptApi {
   Result<std::shared_ptr<const ProcessSchema>> Schema(
       SchemaId id) const override;
 
-  // --- AdeptApi: instance lifecycle (routed to the owning shard) ------------
+  // --- AdeptApi: instance operations (routed to the owning shard) -----------
 
-  Result<InstanceId> CreateInstance(const std::string& type_name) override;
-  Result<InstanceId> CreateInstanceOn(SchemaId schema) override;
+  // Routes `op` to its owning shard — a create to the next shard round-
+  // robin, which assigns it its shard-affine id — and runs it there through
+  // WriteShard, the one routed write (SubmitBatch uses it too).
+  OpResult Apply(const InstanceOp& op) override;
 
   // Lock-free read path: resolves the owning shard through an immutable
   // routing view and fetches the instance's published snapshot without
@@ -236,26 +239,8 @@ class AdeptCluster : public AdeptApi {
       InstanceId id,
       const std::function<void(const ProcessInstance&)>& fn) const override;
 
-  Status StartActivity(InstanceId id, NodeId node) override;
-  Status CompleteActivity(
-      InstanceId id, NodeId node,
-      const std::vector<ProcessInstance::DataWrite>& writes = {}) override;
-  Status FailActivity(InstanceId id, NodeId node,
-                      const std::string& reason) override;
-  Status RetryActivity(InstanceId id, NodeId node) override;
-  Status SuspendActivity(InstanceId id, NodeId node) override;
-  Status ResumeActivity(InstanceId id, NodeId node) override;
-  Status SelectBranch(InstanceId id, NodeId split, int branch_value) override;
-  Status SetLoopDecision(InstanceId id, NodeId loop_end,
-                         bool iterate) override;
-
-  Result<bool> DriveStep(InstanceId id, SimulationDriver& driver) override;
-  Status DriveToCompletion(InstanceId id, SimulationDriver& driver,
-                           int max_steps = 100000) override;
-
   // --- AdeptApi: dynamic change ---------------------------------------------
 
-  Status ApplyAdHocChange(InstanceId id, Delta delta) override;
   Result<MigrationReport> Migrate(
       SchemaId from, SchemaId to,
       const MigrationOptions& options = {}) override;
@@ -323,68 +308,17 @@ class AdeptCluster : public AdeptApi {
 
   // --- Batch execution -------------------------------------------------------
 
-  struct BatchOp {
-    enum class Kind {
-      kCreate,       // type_name (or schema when valid)
-      kStart,        // id, node
-      kComplete,     // id, node, writes
-      kFail,         // id, node, reason
-      kSelectBranch, // id, node, branch_value
-      kLoopDecision, // id, node, iterate
-      kDriveStep,    // id; one synthetic step by the shard-local driver
-      kAdHocChange,  // id, delta
-    };
-
-    Kind kind = Kind::kDriveStep;
-    std::string type_name;
-    SchemaId schema;
-    InstanceId id;
-    NodeId node;
-    std::vector<ProcessInstance::DataWrite> writes;
-    std::string reason;
-    int branch_value = 0;
-    bool iterate = false;
-    std::shared_ptr<Delta> delta;  // shared_ptr: BatchOp stays copyable
-
-    static BatchOp Create(std::string type_name);
-    static BatchOp CreateOn(SchemaId schema);
-    static BatchOp Start(InstanceId id, NodeId node);
-    static BatchOp Complete(
-        InstanceId id, NodeId node,
-        std::vector<ProcessInstance::DataWrite> writes = {});
-    static BatchOp Fail(InstanceId id, NodeId node, std::string reason);
-    static BatchOp SelectBranch(InstanceId id, NodeId node, int branch_value);
-    static BatchOp LoopDecision(InstanceId id, NodeId node, bool iterate);
-    static BatchOp DriveStep(InstanceId id);
-    static BatchOp AdHocChange(InstanceId id, Delta delta);
-  };
-
-  struct BatchResult {
-    Status status;
-    // kCreate: the new instance id. Others: the routed id.
-    InstanceId id;
-    // kDriveStep: whether the instance progressed.
-    bool progressed = false;
-    // The op's WAL position on its shard (0 when the op mutated nothing).
-    // The failover-reconciliation key: per shard, acked ops form an LSN
-    // prefix, so after a promotion "did this maybe-applied op survive?"
-    // is exactly `lsn <= the promoted shard's recovered durable LSN`.
-    uint64_t lsn = 0;
-    // The op's owning shard under the routing that executed it.
-    size_t shard = 0;
-  };
+  // The batch names of the engine's op and result types, kept as aliases
+  // because clients spell them (AdeptCluster::BatchOp::Create, ...).
+  using BatchOp = InstanceOp;
+  using BatchResult = OpResult;
 
   // Groups `ops` by owning shard (creates are placed round-robin first) and
-  // executes the shard groups in parallel on the worker pool. Within one
-  // shard, ops run in submission order; results align with `ops`. Failures
-  // are per-op: one bad op does not stop the rest of its group.
+  // runs WriteShard once per shard group, the groups in parallel on the
+  // worker pool. Within one shard, ops run in submission order; results
+  // align with `ops`. Failures are per-op: one bad op does not stop the
+  // rest of its group.
   std::vector<BatchResult> SubmitBatch(const std::vector<BatchOp>& ops);
-
- protected:
-  // The pointer is looked up under the owning shard's lock but read after
-  // it is released (the bare-Instance() hazard); lock-free reads go
-  // through SnapshotOf.
-  const ProcessInstance* InstanceImpl(InstanceId id) const override;
 
  private:
   struct Shard {
@@ -394,7 +328,7 @@ class AdeptCluster : public AdeptApi {
     mutable std::mutex mu;
     // Next shard-affine sequence number: id = seq * N + shard_index + 1.
     uint64_t next_seq = 0;
-    // Drives BatchOp::DriveStep ops; only touched under `mu`.
+    // Plans the drive steps that name no driver; only touched under `mu`.
     std::unique_ptr<SimulationDriver> driver;
   };
 
@@ -429,14 +363,22 @@ class AdeptCluster : public AdeptApi {
   // the last runs on the calling thread; returns when every task finished.
   void RunParallel(std::vector<std::function<void()>> tasks);
 
-  // Routes a single-instance call: runs `fn(AdeptSystem&)` on the owning
-  // shard under its lock, then waits for WAL durability *after* releasing
-  // the lock so distinct shards overlap engine work with WAL I/O. `fn`
-  // must return Status or Result<T>. Defined in the .cc (all
-  // instantiations live there).
-  template <typename Fn>
-  auto RouteDurable(InstanceId id, Fn&& fn)
-      -> decltype(fn(std::declval<AdeptSystem&>()));
+  // The one routed write: runs ops[group[0..count)] on shard `shard_index`
+  // in order, each result into results[group[i]]. The topology and
+  // writable gates refuse the whole group before any mutation. Under the
+  // shard lock a create gets its shard-affine id and a drive step naming
+  // no driver the shard's own, then AdeptSystem::Apply runs the op. After
+  // the lock is released the group waits for durability once — only if
+  // its ops enqueued a record — so distinct shards overlap engine work
+  // with WAL I/O; a failed wait downgrades every op that succeeded.
+  void WriteShard(size_t shard_index, const InstanceOp* ops,
+                  const size_t* group, size_t count, BatchResult* results);
+  // The shard `op` runs on: the owner of its id, or for a create the next
+  // shard round-robin.
+  size_t ShardFor(const InstanceOp& op) {
+    return op.kind == InstanceOp::Kind::kCreate ? NextCreationShard()
+                                                : ShardOf(op.id);
+  }
 
   // Shared body of DeployProcessType/EvolveProcessType: fans `op` out to
   // every shard under schema_mu_, verifies the allocated SchemaIds agree,
@@ -445,11 +387,6 @@ class AdeptCluster : public AdeptApi {
   Result<SchemaId> FanOutSchemaOp(
       const char* what,
       const std::function<Result<SchemaId>(AdeptSystem&)>& op);
-
-  InstanceId NextIdLocked(size_t shard_index);
-  Result<InstanceId> CreateOnShard(size_t shard_index,
-                                   const std::string& type_name,
-                                   SchemaId schema);
 
   // Publishes the current (routing_, shards_) pair as the readers' view.
   void PublishReadView();
@@ -505,8 +442,6 @@ class AdeptCluster : public AdeptApi {
   // checkpoints while holding it): logs the org into every shard, then
   // checkpoints the shard.
   Status SaveSnapshotLocked();
-  BatchResult ExecuteOpLocked(Shard& shard, size_t shard_index,
-                              const BatchOp& op);
   size_t NextCreationShard() {
     return static_cast<size_t>(rr_.fetch_add(1, std::memory_order_relaxed) %
                                shards_.size());

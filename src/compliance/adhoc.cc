@@ -7,7 +7,7 @@
 namespace adept {
 
 Status ApplyAdHocChange(ProcessInstance& instance, InstanceStore& store,
-                        Delta delta) {
+                        const Delta& delta) {
   if (delta.empty()) {
     return Status::InvalidArgument("empty ad-hoc change");
   }
@@ -17,7 +17,7 @@ Status ApplyAdHocChange(ProcessInstance& instance, InstanceStore& store,
   }
   std::string description = delta.Describe();
   ADEPT_ASSIGN_OR_RETURN(std::shared_ptr<const SchemaView> view,
-                         store.AddBias(instance.id(), std::move(delta)));
+                         store.AddBias(instance.id(), delta));
   // Verification succeeded, but the combined schema may carry warnings
   // (races, naming); surface them instead of silently discarding. The full
   // report stays retrievable via InstanceStore::Get(id)->report.

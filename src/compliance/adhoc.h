@@ -21,13 +21,13 @@
 
 namespace adept {
 
-// `delta`'s ops are consumed (they get pinned instance-range ids).
-// Error contract:
+// `delta` is only read: the store pins instance-range ids on its own copies
+// of the ops, which become the instance's bias. Error contract:
 //   kNotCompliant        a state pre-condition is violated
 //   kFailedPrecondition  an op does not apply structurally
 //   kVerificationFailed  the changed schema breaks a buildtime guarantee
 Status ApplyAdHocChange(ProcessInstance& instance, InstanceStore& store,
-                        Delta delta);
+                        const Delta& delta);
 
 }  // namespace adept
 

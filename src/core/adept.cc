@@ -12,32 +12,6 @@
 
 namespace adept {
 
-namespace {
-
-JsonValue WritesToJson(const std::vector<ProcessInstance::DataWrite>& writes) {
-  JsonValue arr = JsonValue::MakeArray();
-  for (const auto& w : writes) {
-    JsonValue wj = JsonValue::MakeObject();
-    wj.Set("d", JsonValue(w.data.value()));
-    wj.Set("v", w.value.ToJson());
-    arr.Append(std::move(wj));
-  }
-  return arr;
-}
-
-Result<std::vector<ProcessInstance::DataWrite>> WritesFromJson(
-    const JsonValue& json) {
-  std::vector<ProcessInstance::DataWrite> writes;
-  for (const JsonValue& wj : json.as_array()) {
-    ADEPT_ASSIGN_OR_RETURN(DataValue value, DataValue::FromJson(wj.Get("v")));
-    writes.push_back(
-        {DataId(static_cast<uint32_t>(wj.Get("d").as_int())), value});
-  }
-  return writes;
-}
-
-}  // namespace
-
 AdeptSystem::AdeptSystem(const AdeptOptions& options) : options_(options) {
   engine_.set_observer(&fanout_);
   // The ledger drops a claim when its node's run ends, live and on replay.
@@ -199,41 +173,6 @@ Result<InstanceId> AdeptSystem::CreateInstanceInternal(SchemaId schema_id,
   return instance->id();
 }
 
-Result<InstanceId> AdeptSystem::CreateInstance(const std::string& type_name) {
-  ADEPT_ASSIGN_OR_RETURN(SchemaId latest, repository_.Latest(type_name));
-  return CreateInstanceOn(latest);
-}
-
-Result<InstanceId> AdeptSystem::CreateInstanceOn(SchemaId schema) {
-  ADEPT_ASSIGN_OR_RETURN(InstanceId id,
-                         CreateInstanceInternal(schema, InstanceId::Invalid()));
-  JsonValue record = JsonValue::MakeObject();
-  record.Set("t", JsonValue("create"));
-  record.Set("id", JsonValue(id.value()));
-  record.Set("schema", JsonValue(schema.value()));
-  ADEPT_RETURN_IF_ERROR(Log(record));
-  return id;
-}
-
-Result<InstanceId> AdeptSystem::CreateInstanceWithId(SchemaId schema,
-                                                     InstanceId forced_id) {
-  if (!forced_id.valid()) {
-    return Status::InvalidArgument("forced instance id must be valid");
-  }
-  ADEPT_ASSIGN_OR_RETURN(InstanceId id,
-                         CreateInstanceInternal(schema, forced_id));
-  JsonValue record = JsonValue::MakeObject();
-  record.Set("t", JsonValue("create"));
-  record.Set("id", JsonValue(id.value()));
-  record.Set("schema", JsonValue(schema.value()));
-  ADEPT_RETURN_IF_ERROR(Log(record));
-  return id;
-}
-
-const ProcessInstance* AdeptSystem::InstanceImpl(InstanceId id) const {
-  return engine_.Find(id);
-}
-
 std::shared_ptr<const InstanceSnapshot> AdeptSystem::SnapshotOf(
     InstanceId id) const {
   return snapshots_.Get(id);
@@ -287,180 +226,107 @@ void AdeptSystem::CollectQueryMatches(const CompiledQuery& query,
                options_.query_indexes ? &query_index_ : nullptr, result);
 }
 
-namespace {
-Result<ProcessInstance*> RequireInstance(Engine& engine, InstanceId id) {
-  ProcessInstance* instance = engine.Find(id);
+Status AdeptSystem::WithInstance(
+    InstanceId id,
+    const std::function<void(const ProcessInstance&)>& fn) const {
+  const ProcessInstance* instance = engine_.Find(id);
   if (instance == nullptr) return Status::NotFound("no such instance");
-  return instance;
-}
-}  // namespace
-
-Status AdeptSystem::StartActivity(InstanceId id, NodeId node) {
-  ADEPT_ASSIGN_OR_RETURN(ProcessInstance * instance,
-                         RequireInstance(engine_, id));
-  ADEPT_RETURN_IF_ERROR(instance->StartActivity(node));
-  PublishSnapshot(id);
-  JsonValue record = JsonValue::MakeObject();
-  record.Set("t", JsonValue("act"));
-  record.Set("ev", JsonValue("start"));
-  record.Set("id", JsonValue(id.value()));
-  record.Set("node", JsonValue(node.value()));
-  return Log(record);
+  fn(*instance);
+  return Status::OK();
 }
 
-Status AdeptSystem::CompleteActivity(
-    InstanceId id, NodeId node,
-    const std::vector<ProcessInstance::DataWrite>& writes) {
-  ADEPT_ASSIGN_OR_RETURN(ProcessInstance * instance,
-                         RequireInstance(engine_, id));
-  ADEPT_RETURN_IF_ERROR(instance->CompleteActivity(node, writes));
-  PublishSnapshot(id);
-  JsonValue record = JsonValue::MakeObject();
-  record.Set("t", JsonValue("act"));
-  record.Set("ev", JsonValue("complete"));
-  record.Set("id", JsonValue(id.value()));
-  record.Set("node", JsonValue(node.value()));
-  record.Set("writes", WritesToJson(writes));
-  return Log(record);
-}
-
-Status AdeptSystem::FailActivity(InstanceId id, NodeId node,
-                                 const std::string& reason) {
-  ADEPT_ASSIGN_OR_RETURN(ProcessInstance * instance,
-                         RequireInstance(engine_, id));
-  ADEPT_RETURN_IF_ERROR(instance->FailActivity(node, reason));
-  PublishSnapshot(id);
-  JsonValue record = JsonValue::MakeObject();
-  record.Set("t", JsonValue("act"));
-  record.Set("ev", JsonValue("fail"));
-  record.Set("id", JsonValue(id.value()));
-  record.Set("node", JsonValue(node.value()));
-  record.Set("detail", JsonValue(reason));
-  return Log(record);
-}
-
-Status AdeptSystem::RetryActivity(InstanceId id, NodeId node) {
-  ADEPT_ASSIGN_OR_RETURN(ProcessInstance * instance,
-                         RequireInstance(engine_, id));
-  ADEPT_RETURN_IF_ERROR(instance->RetryActivity(node));
-  PublishSnapshot(id);
-  JsonValue record = JsonValue::MakeObject();
-  record.Set("t", JsonValue("act"));
-  record.Set("ev", JsonValue("retry"));
-  record.Set("id", JsonValue(id.value()));
-  record.Set("node", JsonValue(node.value()));
-  return Log(record);
-}
-
-Status AdeptSystem::SuspendActivity(InstanceId id, NodeId node) {
-  ADEPT_ASSIGN_OR_RETURN(ProcessInstance * instance,
-                         RequireInstance(engine_, id));
-  ADEPT_RETURN_IF_ERROR(instance->SuspendActivity(node));
-  PublishSnapshot(id);
-  JsonValue record = JsonValue::MakeObject();
-  record.Set("t", JsonValue("act"));
-  record.Set("ev", JsonValue("suspend"));
-  record.Set("id", JsonValue(id.value()));
-  record.Set("node", JsonValue(node.value()));
-  return Log(record);
-}
-
-Status AdeptSystem::ResumeActivity(InstanceId id, NodeId node) {
-  ADEPT_ASSIGN_OR_RETURN(ProcessInstance * instance,
-                         RequireInstance(engine_, id));
-  ADEPT_RETURN_IF_ERROR(instance->ResumeActivity(node));
-  PublishSnapshot(id);
-  JsonValue record = JsonValue::MakeObject();
-  record.Set("t", JsonValue("act"));
-  record.Set("ev", JsonValue("resume"));
-  record.Set("id", JsonValue(id.value()));
-  record.Set("node", JsonValue(node.value()));
-  return Log(record);
-}
-
-Status AdeptSystem::SelectBranch(InstanceId id, NodeId split,
-                                 int branch_value) {
-  ADEPT_ASSIGN_OR_RETURN(ProcessInstance * instance,
-                         RequireInstance(engine_, id));
-  ADEPT_RETURN_IF_ERROR(instance->SelectBranch(split, branch_value));
-  PublishSnapshot(id);
-  JsonValue record = JsonValue::MakeObject();
-  record.Set("t", JsonValue("branch"));
-  record.Set("id", JsonValue(id.value()));
-  record.Set("node", JsonValue(split.value()));
-  record.Set("code", JsonValue(branch_value));
-  return Log(record);
-}
-
-Status AdeptSystem::SetLoopDecision(InstanceId id, NodeId loop_end,
-                                    bool iterate) {
-  ADEPT_ASSIGN_OR_RETURN(ProcessInstance * instance,
-                         RequireInstance(engine_, id));
-  ADEPT_RETURN_IF_ERROR(instance->SetLoopDecision(loop_end, iterate));
-  PublishSnapshot(id);
-  JsonValue record = JsonValue::MakeObject();
-  record.Set("t", JsonValue("loopdec"));
-  record.Set("id", JsonValue(id.value()));
-  record.Set("node", JsonValue(loop_end.value()));
-  record.Set("iterate", JsonValue(iterate));
-  return Log(record);
-}
-
-Result<bool> AdeptSystem::DriveStep(InstanceId id, SimulationDriver& driver) {
-  ADEPT_ASSIGN_OR_RETURN(ProcessInstance * instance,
-                         RequireInstance(engine_, id));
-  SimulationDriver::PlannedStep step = driver.PlanStep(*instance);
-  if (!step.node.valid()) return false;
-  ADEPT_RETURN_IF_ERROR(StartActivity(id, step.node));
-  ADEPT_RETURN_IF_ERROR(CompleteActivity(id, step.node, step.writes));
-  return true;
-}
-
-Status AdeptSystem::DriveToCompletion(InstanceId id, SimulationDriver& driver,
-                                      int max_steps) {
-  for (int i = 0; i < max_steps; ++i) {
-    const ProcessInstance* instance = engine_.Find(id);
-    if (instance == nullptr) return Status::NotFound("no such instance");
-    if (instance->Finished()) return Status::OK();
-    ADEPT_ASSIGN_OR_RETURN(bool progressed, DriveStep(id, driver));
-    if (!progressed) {
-      return instance->Finished()
-                 ? Status::OK()
-                 : Status::FailedPrecondition("instance blocked");
+OpResult AdeptSystem::Apply(const InstanceOp& op) {
+  using Kind = InstanceOp::Kind;
+  OpResult result;
+  result.id = op.id;
+  result.status = [&]() -> Status {
+    // Replay and a system without a WAL log nothing, so they build no
+    // record either.
+    const bool logging = wal_ != nullptr && !recovering_;
+    ProcessInstance* instance = nullptr;
+    if (op.kind != Kind::kCreate) {
+      instance = engine_.Find(op.id);
+      if (instance == nullptr) return Status::NotFound("no such instance");
     }
-  }
-  return Status::Internal("step budget exceeded");
-}
-
-// --- Dynamic change ----------------------------------------------------------
-
-Status AdeptSystem::ApplyAdHocChange(InstanceId id, Delta delta) {
-  ADEPT_ASSIGN_OR_RETURN(ProcessInstance * instance,
-                         RequireInstance(engine_, id));
-  // The op count before this change marks where the newly pinned tail of
-  // the cumulative bias starts — exactly the delta worth logging.
-  size_t prior_ops = 0;
-  if (auto prior = store_.Get(id); prior.ok()) {
-    prior_ops = (*prior)->bias.size();
-  }
-  ADEPT_RETURN_IF_ERROR(
-      adept::ApplyAdHocChange(*instance, store_, std::move(delta)));
-  PublishSnapshot(id);
-  // Serialize only the *applied* (pinned) ops this change appended — a
-  // delta record against the bias the replayed prefix already rebuilt.
-  ADEPT_ASSIGN_OR_RETURN(const InstanceStore::Record* record, store_.Get(id));
-  JsonValue ops = JsonValue::MakeArray();
-  const auto& bias_ops = record->bias.ops();
-  for (size_t i = prior_ops; i < bias_ops.size(); ++i) {
-    ops.Append(bias_ops[i]->ToJson());
-  }
-  JsonValue tail = JsonValue::MakeObject();
-  tail.Set("ops", std::move(ops));
-  JsonValue wal_record = JsonValue::MakeObject();
-  wal_record.Set("t", JsonValue("adhoc"));
-  wal_record.Set("id", JsonValue(id.value()));
-  wal_record.Set("delta", std::move(tail));
-  return Log(wal_record);
+    // kAdHocChange: the ops the change pinned onto the bias, the record's
+    // delta against the bias the replayed prefix already rebuilt.
+    JsonValue pinned_ops;
+    switch (op.kind) {
+      case Kind::kCreate: {
+        SchemaId schema = op.schema;
+        if (!schema.valid()) {
+          ADEPT_ASSIGN_OR_RETURN(schema, repository_.Latest(op.type_name));
+        }
+        ADEPT_ASSIGN_OR_RETURN(result.id,
+                               CreateInstanceInternal(schema, op.id));
+        if (!logging) return Status::OK();
+        return Log(InstanceOp::CreateOn(schema, result.id).ToRecord());
+      }
+      case Kind::kStart:
+        ADEPT_RETURN_IF_ERROR(instance->StartActivity(op.node));
+        break;
+      case Kind::kComplete:
+        ADEPT_RETURN_IF_ERROR(instance->CompleteActivity(op.node, op.writes));
+        break;
+      case Kind::kFail:
+        ADEPT_RETURN_IF_ERROR(instance->FailActivity(op.node, op.reason));
+        break;
+      case Kind::kRetry:
+        ADEPT_RETURN_IF_ERROR(instance->RetryActivity(op.node));
+        break;
+      case Kind::kSuspend:
+        ADEPT_RETURN_IF_ERROR(instance->SuspendActivity(op.node));
+        break;
+      case Kind::kResume:
+        ADEPT_RETURN_IF_ERROR(instance->ResumeActivity(op.node));
+        break;
+      case Kind::kSelectBranch:
+        ADEPT_RETURN_IF_ERROR(
+            instance->SelectBranch(op.node, op.branch_value));
+        break;
+      case Kind::kLoopDecision:
+        ADEPT_RETURN_IF_ERROR(instance->SetLoopDecision(op.node, op.iterate));
+        break;
+      case Kind::kDriveStep: {
+        if (op.driver == nullptr) {
+          return Status::InvalidArgument("a drive step needs a driver");
+        }
+        SimulationDriver::PlannedStep step = op.driver->PlanStep(*instance);
+        if (!step.node.valid()) return Status::OK();
+        ADEPT_RETURN_IF_ERROR(
+            Apply(InstanceOp::Start(op.id, step.node)).status);
+        ADEPT_RETURN_IF_ERROR(
+            Apply(InstanceOp::Complete(op.id, step.node,
+                                       std::move(step.writes)))
+                .status);
+        result.progressed = true;
+        return Status::OK();
+      }
+      case Kind::kAdHocChange: {
+        if (op.delta == nullptr) {
+          return Status::InvalidArgument("an ad-hoc op needs a delta");
+        }
+        ADEPT_ASSIGN_OR_RETURN(const InstanceStore::Record* record,
+                               store_.Get(op.id));
+        const size_t prior_ops = record->bias.size();
+        ADEPT_RETURN_IF_ERROR(
+            adept::ApplyAdHocChange(*instance, store_, *op.delta));
+        if (logging) {
+          pinned_ops = JsonValue::MakeArray();
+          const auto& bias_ops = record->bias.ops();
+          for (size_t i = prior_ops; i < bias_ops.size(); ++i) {
+            pinned_ops.Append(bias_ops[i]->ToJson());
+          }
+        }
+        break;
+      }
+    }
+    PublishSnapshot(op.id);
+    if (!logging) return Status::OK();
+    return Log(op.ToRecord(std::move(pinned_ops)));
+  }();
+  result.lsn = last_enqueued_lsn_;
+  return result;
 }
 
 WorklistService::InstanceEnumerator AdeptSystem::EngineInstances() {
@@ -761,12 +627,6 @@ Status AdeptSystem::ApplyWalRecord(const JsonValue& record) {
     }
     return Status::OK();
   }
-  if (type == "create") {
-    return CreateInstanceInternal(
-               SchemaId(static_cast<uint64_t>(record.Get("schema").as_int())),
-               InstanceId(static_cast<uint64_t>(record.Get("id").as_int())))
-        .status();
-  }
   if (type == "repo") {
     return repository_.LoadFromJson(record.Get("repo"));
   }
@@ -787,47 +647,11 @@ Status AdeptSystem::ApplyWalRecord(const JsonValue& record) {
     logged_org_ = record.Get("org");
     return Status::OK();
   }
-  InstanceId id(static_cast<uint64_t>(record.Get("id").as_int()));
-  NodeId node(static_cast<uint32_t>(record.Get("node").as_int()));
   if (type == "release") {
-    claims_.Set(id, node, UserId::Invalid(), 0);
+    claims_.Set(InstanceId(static_cast<uint64_t>(record.Get("id").as_int())),
+                NodeId(static_cast<uint32_t>(record.Get("node").as_int())),
+                UserId::Invalid(), 0);
     return Status::OK();
-  }
-  if (type == "act") {
-    const std::string& ev = record.Get("ev").as_string();
-    if (ev == "start") return StartActivity(id, node);
-    if (ev == "complete") {
-      ADEPT_ASSIGN_OR_RETURN(std::vector<ProcessInstance::DataWrite> writes,
-                             WritesFromJson(record.Get("writes")));
-      return CompleteActivity(id, node, writes);
-    }
-    if (ev == "fail") {
-      return FailActivity(id, node, record.Get("detail").as_string());
-    }
-    if (ev == "retry") return RetryActivity(id, node);
-    if (ev == "suspend") return SuspendActivity(id, node);
-    if (ev == "resume") return ResumeActivity(id, node);
-    return Status::Corruption("unknown activity event: " + ev);
-  }
-  if (type == "branch") {
-    return SelectBranch(id, node,
-                        static_cast<int>(record.Get("code").as_int()));
-  }
-  if (type == "loopdec") {
-    return SetLoopDecision(id, node, record.Get("iterate").as_bool());
-  }
-  if (type == "adhoc") {
-    ProcessInstance* instance = engine_.Find(id);
-    if (instance == nullptr) return Status::NotFound("no such instance");
-    // The ops this change appended, applied on top of the bias the
-    // replayed prefix already rebuilt — same pinning order as the original
-    // execution. A WAL is input from outside the program: refuse a record
-    // that carries no delta.
-    if (!record.Has("delta")) {
-      return Status::Corruption("ad-hoc record without a delta");
-    }
-    ADEPT_ASSIGN_OR_RETURN(Delta ops, Delta::FromJson(record.Get("delta")));
-    return adept::ApplyAdHocChange(*instance, store_, std::move(ops));
   }
   if (type == "migrate") {
     MigrationOptions options;
@@ -842,7 +666,9 @@ Status AdeptSystem::ApplyWalRecord(const JsonValue& record) {
     claims_.Prune(engine_);
     return Status::OK();
   }
-  return Status::Corruption("unknown WAL record type: " + type);
+  // Every other record is an instance op: the same Apply as live.
+  ADEPT_ASSIGN_OR_RETURN(InstanceOp op, InstanceOp::FromRecord(record));
+  return Apply(op).status;
 }
 
 }  // namespace adept

@@ -120,16 +120,17 @@ class AdeptSystem : public AdeptApi {
     return &record->report;
   }
 
-  // --- Instance lifecycle ----------------------------------------------------
+  // --- Instance operations --------------------------------------------------
 
-  // Creates and starts an instance of the latest version of `type_name`.
-  Result<InstanceId> CreateInstance(const std::string& type_name) override;
-  Result<InstanceId> CreateInstanceOn(SchemaId schema) override;
-
-  // Creates and starts an instance under a caller-chosen id (WAL-logged).
-  // The cluster layer uses this for shard-affine id allocation; plain
-  // applications should prefer CreateInstance/CreateInstanceOn.
-  Result<InstanceId> CreateInstanceWithId(SchemaId schema, InstanceId id);
+  // Executes `op` (core/instance_op.h) in one switch over its kind: finds
+  // the instance, runs the ProcessInstance operation, publishes the
+  // snapshot, then logs the op's record — the same function WAL replay
+  // calls with each decoded record. A create resolves the latest version
+  // of a type name and uses `op.id` when set (the cluster's shard-affine
+  // id, and replay), the engine's allocator otherwise. A drive step needs
+  // `op.driver`; it applies a start and a complete, two records. The
+  // result's `lsn` is last_enqueued_lsn() after the op.
+  OpResult Apply(const InstanceOp& op) override;
 
   // Lock-free read path: current published snapshot of `id` (rebuilt by
   // every mutating facade call; see runtime/instance_snapshot.h). Direct
@@ -151,29 +152,12 @@ class AdeptSystem : public AdeptApi {
   void CollectQueryMatches(const CompiledQuery& query,
                            QueryResult* result) const;
 
-  Status StartActivity(InstanceId id, NodeId node) override;
-  Status CompleteActivity(
-      InstanceId id, NodeId node,
-      const std::vector<ProcessInstance::DataWrite>& writes = {}) override;
-  Status FailActivity(InstanceId id, NodeId node,
-                      const std::string& reason) override;
-  Status RetryActivity(InstanceId id, NodeId node) override;
-  Status SuspendActivity(InstanceId id, NodeId node) override;
-  Status ResumeActivity(InstanceId id, NodeId node) override;
-  Status SelectBranch(InstanceId id, NodeId split, int branch_value) override;
-  Status SetLoopDecision(InstanceId id, NodeId loop_end,
-                         bool iterate) override;
-
-  // Synthetic execution through the facade (WAL-logged, unlike driving the
-  // ProcessInstance directly).
-  Result<bool> DriveStep(InstanceId id, SimulationDriver& driver) override;
-  Status DriveToCompletion(InstanceId id, SimulationDriver& driver,
-                           int max_steps = 100000) override;
+  // Runs `fn` on the live engine instance.
+  Status WithInstance(
+      InstanceId id,
+      const std::function<void(const ProcessInstance&)>& fn) const override;
 
   // --- Dynamic change --------------------------------------------------------
-
-  // Ad-hoc change of a single instance (paper Sec. 2).
-  Status ApplyAdHocChange(InstanceId id, Delta delta) override;
 
   // Propagates the type change `from` -> `to` to all running instances.
   // Republishes (and resyncs the worklist for) only the instances the
@@ -292,9 +276,6 @@ class AdeptSystem : public AdeptApi {
   InstanceStore& store() { return store_; }
   MigrationManager& migration_manager() { return migration_manager_; }
   ProcessInstance* MutableInstance(InstanceId id) { return engine_.Find(id); }
-
- protected:
-  const ProcessInstance* InstanceImpl(InstanceId id) const override;
 
  private:
   explicit AdeptSystem(const AdeptOptions& options);

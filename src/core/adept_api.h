@@ -11,6 +11,11 @@
 // scale-out path is a configuration decision, not a code change. Schema
 // management calls (deploy/evolve) affect the whole deployment; instance
 // calls are routed to wherever the instance lives.
+//
+// Every instance write is one InstanceOp (core/instance_op.h) through the
+// one virtual Apply: the named instance calls below are non-virtual
+// one-line wrappers that build the op, so an implementation spells each
+// operation once, and the cluster routes every write through one path.
 
 #ifndef ADEPT_CORE_ADEPT_API_H_
 #define ADEPT_CORE_ADEPT_API_H_
@@ -18,12 +23,14 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "change/delta.h"
 #include "common/ids.h"
 #include "common/status.h"
 #include "compliance/migration.h"
+#include "core/instance_op.h"
 #include "model/schema.h"
 #include "query/query.h"
 #include "runtime/driver.h"
@@ -49,27 +56,6 @@ class AdeptApi {
       const = 0;
   virtual Result<std::shared_ptr<const ProcessSchema>> Schema(SchemaId id)
       const = 0;
-
-  // --- Instance lifecycle ----------------------------------------------------
-
-  virtual Result<InstanceId> CreateInstance(const std::string& type_name) = 0;
-  virtual Result<InstanceId> CreateInstanceOn(SchemaId schema) = 0;
-
-  // DEPRECATED: TOCTOU-prone bare read path — implementations that
-  // execute concurrently (AdeptCluster) return a pointer that may be
-  // invalidated by other threads the moment the call returns, so any
-  // check-then-dereference against it races. Use ReadInstance/SnapshotOf
-  // for lock-free reads, or WithInstance when the callback needs the live
-  // instance under the owner's lock. The accessor is [[deprecated]] and
-  // CI builds with -Werror=deprecated-declarations, so new call sites
-  // cannot appear; implementations override the protected InstanceImpl.
-  [[deprecated(
-      "bare Instance() races against concurrent mutation; use "
-      "ReadInstance/SnapshotOf (lock-free) or WithInstance "
-      "(linearized)")]] const ProcessInstance*
-  Instance(InstanceId id) const {
-    return InstanceImpl(id);
-  }
 
   // --- Lock-free read path ---------------------------------------------------
   //
@@ -107,19 +93,14 @@ class AdeptApi {
   }
 
   // Runs `fn` with the live instance while it cannot be concurrently
-  // mutated (AdeptCluster overrides this to hold the owning shard's lock
-  // for the duration of the callback). Returns kNotFound when the instance
-  // does not exist. Keep `fn` short: it blocks the instance's engine —
-  // prefer ReadInstance unless the read needs live-state guarantees a
-  // snapshot cannot give (e.g. the full trace).
+  // mutated (AdeptCluster holds the owning shard's lock for the duration
+  // of the callback). Returns kNotFound when the instance does not exist.
+  // Keep `fn` short: it blocks the instance's engine — prefer ReadInstance
+  // unless the read needs live-state guarantees a snapshot cannot give
+  // (e.g. the full trace).
   virtual Status WithInstance(
       InstanceId id,
-      const std::function<void(const ProcessInstance&)>& fn) const {
-    const ProcessInstance* instance = InstanceImpl(id);
-    if (instance == nullptr) return Status::NotFound("no such instance");
-    fn(*instance);
-    return Status::OK();
-  }
+      const std::function<void(const ProcessInstance&)>& fn) const = 0;
 
   // Evaluates a textual predicate (grammar + semantics: src/query/
   // README.md) over the published snapshots and returns the matches in
@@ -134,30 +115,76 @@ class AdeptApi {
   // poisoned.
   virtual Result<QueryResult> Query(const std::string& query) const = 0;
 
-  virtual Status StartActivity(InstanceId id, NodeId node) = 0;
-  virtual Status CompleteActivity(
-      InstanceId id, NodeId node,
-      const std::vector<ProcessInstance::DataWrite>& writes = {}) = 0;
-  virtual Status FailActivity(InstanceId id, NodeId node,
-                              const std::string& reason) = 0;
-  virtual Status RetryActivity(InstanceId id, NodeId node) = 0;
-  virtual Status SuspendActivity(InstanceId id, NodeId node) = 0;
-  virtual Status ResumeActivity(InstanceId id, NodeId node) = 0;
-  virtual Status SelectBranch(InstanceId id, NodeId split,
-                              int branch_value) = 0;
-  virtual Status SetLoopDecision(InstanceId id, NodeId loop_end,
-                                 bool iterate) = 0;
+  // --- Instance operations --------------------------------------------------
+
+  // Executes one instance operation, publishes the instance's snapshot and
+  // logs the op's WAL record (AdeptSystem), or routes it to the owning
+  // shard — a create round-robin — and waits until its record is durable
+  // (AdeptCluster). Failures are in the result, never thrown.
+  virtual OpResult Apply(const InstanceOp& op) = 0;
+
+  // Creates and starts an instance of the latest version of `type_name`.
+  Result<InstanceId> CreateInstance(const std::string& type_name) {
+    return Created(Apply(InstanceOp::Create(type_name)));
+  }
+  Result<InstanceId> CreateInstanceOn(SchemaId schema) {
+    return Created(Apply(InstanceOp::CreateOn(schema)));
+  }
+
+  Status StartActivity(InstanceId id, NodeId node) {
+    return Apply(InstanceOp::Start(id, node)).status;
+  }
+  Status CompleteActivity(InstanceId id, NodeId node,
+                          std::vector<ProcessInstance::DataWrite> writes = {}) {
+    return Apply(InstanceOp::Complete(id, node, std::move(writes))).status;
+  }
+  Status FailActivity(InstanceId id, NodeId node, std::string reason) {
+    return Apply(InstanceOp::Fail(id, node, std::move(reason))).status;
+  }
+  Status RetryActivity(InstanceId id, NodeId node) {
+    return Apply(InstanceOp::Retry(id, node)).status;
+  }
+  Status SuspendActivity(InstanceId id, NodeId node) {
+    return Apply(InstanceOp::Suspend(id, node)).status;
+  }
+  Status ResumeActivity(InstanceId id, NodeId node) {
+    return Apply(InstanceOp::Resume(id, node)).status;
+  }
+  Status SelectBranch(InstanceId id, NodeId split, int branch_value) {
+    return Apply(InstanceOp::SelectBranch(id, split, branch_value)).status;
+  }
+  Status SetLoopDecision(InstanceId id, NodeId loop_end, bool iterate) {
+    return Apply(InstanceOp::LoopDecision(id, loop_end, iterate)).status;
+  }
 
   // Synthetic execution through the facade (WAL-logged, unlike driving the
-  // ProcessInstance directly).
-  virtual Result<bool> DriveStep(InstanceId id, SimulationDriver& driver) = 0;
-  virtual Status DriveToCompletion(InstanceId id, SimulationDriver& driver,
-                                   int max_steps = 100000) = 0;
+  // ProcessInstance directly): one step starts and completes one activated
+  // activity `driver` picks; false when none is activated.
+  Result<bool> DriveStep(InstanceId id, SimulationDriver& driver) {
+    OpResult result = Apply(InstanceOp::DriveStep(id, &driver));
+    if (!result.status.ok()) return result.status;
+    return result.progressed;
+  }
+  // Steps until the instance's published snapshot is finished. Each step is
+  // a separate Apply (on a cluster, a separately routed write).
+  Status DriveToCompletion(InstanceId id, SimulationDriver& driver,
+                           int max_steps = 100000) {
+    for (int i = 0; i < max_steps; ++i) {
+      std::shared_ptr<const InstanceSnapshot> snapshot = SnapshotOf(id);
+      if (snapshot == nullptr) return Status::NotFound("no such instance");
+      if (snapshot->finished) return Status::OK();
+      ADEPT_ASSIGN_OR_RETURN(bool progressed, DriveStep(id, driver));
+      if (!progressed) return Status::FailedPrecondition("instance blocked");
+    }
+    return Status::Internal("step budget exceeded");
+  }
 
   // --- Dynamic change --------------------------------------------------------
 
   // Ad-hoc change of a single instance (paper Sec. 2).
-  virtual Status ApplyAdHocChange(InstanceId id, Delta delta) = 0;
+  Status ApplyAdHocChange(InstanceId id, Delta delta) {
+    return Apply(InstanceOp::AdHocChange(id, std::move(delta))).status;
+  }
 
   // Propagates the type change `from` -> `to` to all running instances.
   virtual Result<MigrationReport> Migrate(
@@ -192,11 +219,11 @@ class AdeptApi {
   // Writes a full snapshot and truncates the WAL (checkpoint).
   virtual Status SaveSnapshot() = 0;
 
- protected:
-  // Implementation behind the deprecated bare Instance() accessor and the
-  // default WithInstance(). Same hazard as Instance(): the pointer is only
-  // meaningful while the caller excludes concurrent mutation.
-  virtual const ProcessInstance* InstanceImpl(InstanceId id) const = 0;
+ private:
+  static Result<InstanceId> Created(const OpResult& result) {
+    if (!result.status.ok()) return result.status;
+    return result.id;
+  }
 };
 
 }  // namespace adept

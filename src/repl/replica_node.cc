@@ -14,10 +14,6 @@ namespace adept {
 
 namespace {
 
-std::string MetaPath(const std::string& wal_base) {
-  return wal_base + ".replmeta";
-}
-
 // Best-effort ERROR frame so the primary's log names the real cause
 // instead of a bare connection reset.
 void SendError(TcpConnection* conn, const Status& status) {
@@ -38,7 +34,7 @@ Result<std::unique_ptr<ReplicationReplica>> ReplicationReplica::Start(
   // A fresh replica reports epoch 0 (accepts any primary's lineage); a
   // node restarting over an existing file set resumes its persisted epoch
   // so a stale lineage is detected by the next primary it talks to.
-  auto meta = ReadFileToString(MetaPath(options.wal_path));
+  auto meta = ReadFileToString(ReplicationEpochPath(options.wal_path));
   if (meta.ok()) {
     ADEPT_ASSIGN_OR_RETURN(JsonValue json, JsonValue::Parse(*meta));
     node->epoch_ = static_cast<uint64_t>(json.Get("epoch").as_int());
@@ -95,10 +91,7 @@ uint64_t ReplicationReplica::epoch() const {
 Status ReplicationReplica::PersistEpoch(uint64_t epoch) {
   std::lock_guard<std::mutex> lock(mu_);
   if (epoch == epoch_) return Status::OK();
-  JsonValue meta = JsonValue::MakeObject();
-  meta.Set("epoch", JsonValue(epoch));
-  ADEPT_RETURN_IF_ERROR(WriteFileAtomic(MetaPath(options_.wal_path),
-                                        meta.Dump()));
+  ADEPT_RETURN_IF_ERROR(WriteReplicationEpoch(options_.wal_path, epoch));
   epoch_ = epoch;
   return Status::OK();
 }

@@ -13,15 +13,18 @@ namespace adept {
 
 namespace {
 
-std::string MetaPath(const std::string& wal_base) {
-  return wal_base + ".replmeta";
-}
-
-Status WriteEpoch(const std::string& wal_base, uint64_t epoch) {
-  JsonValue meta = JsonValue::MakeObject();
-  meta.Set("epoch", JsonValue(epoch));
-  return WriteFileAtomic(MetaPath(wal_base), meta.Dump());
-}
+// Timeout of one dial to a peer.
+constexpr int kConnectTimeoutMs = 1000;
+// Frames coalesced into one BATCH message.
+constexpr size_t kMaxBatchFrames = 512;
+// In-memory tail retained for streaming before peers must fall back to
+// reading the WAL file. Frames every peer has acked are dropped when the
+// next durable batch arrives. Bounded twice: by frame count and by payload
+// bytes — whichever trips first evicts from the front (a dead peer can no
+// longer pin unbounded memory; it catches up from the WAL file or a
+// snapshot reset instead; see tail_evictions in PrimaryStatus).
+constexpr size_t kTailBufferFrames = 8192;
+constexpr size_t kTailBufferBytes = 32u << 20;  // 32 MiB
 
 // Stable status-message markers (the IsQuorumTimeout/IsFenced/IsNoQuorum
 // contract — see replication.h). Substring matching is deliberate: the
@@ -93,19 +96,30 @@ JsonValue PrimaryStatus::ToJson() const {
   return j;
 }
 
+std::string ReplicationEpochPath(const std::string& wal_base) {
+  return wal_base + ".replmeta";
+}
+
+Status WriteReplicationEpoch(const std::string& wal_base, uint64_t epoch) {
+  JsonValue meta = JsonValue::MakeObject();
+  meta.Set("epoch", JsonValue(epoch));
+  return WriteFileAtomic(ReplicationEpochPath(wal_base), meta.Dump());
+}
+
 Result<uint64_t> ReadReplicationEpoch(const std::string& wal_base) {
-  auto content = ReadFileToString(MetaPath(wal_base));
+  auto content = ReadFileToString(ReplicationEpochPath(wal_base));
   if (!content.ok()) {
     if (content.status().code() != StatusCode::kNotFound) {
       return content.status();
     }
-    ADEPT_RETURN_IF_ERROR(WriteEpoch(wal_base, 1));
+    ADEPT_RETURN_IF_ERROR(WriteReplicationEpoch(wal_base, 1));
     return uint64_t{1};
   }
   ADEPT_ASSIGN_OR_RETURN(JsonValue meta, JsonValue::Parse(*content));
   const uint64_t epoch = static_cast<uint64_t>(meta.Get("epoch").as_int());
   if (epoch == 0) {
-    return Status::Corruption("replication meta '" + MetaPath(wal_base) +
+    return Status::Corruption("replication meta '" +
+                              ReplicationEpochPath(wal_base) +
                               "' carries no epoch");
   }
   return epoch;
@@ -117,7 +131,7 @@ Result<uint64_t> PromoteReplicaFiles(const std::string& wal_base,
   // epoch starts at 1 (ReadReplicationEpoch creates the meta file).
   ADEPT_ASSIGN_OR_RETURN(uint64_t epoch, ReadReplicationEpoch(wal_base));
   const uint64_t promoted = std::max(epoch + 1, at_least);
-  ADEPT_RETURN_IF_ERROR(WriteEpoch(wal_base, promoted));
+  ADEPT_RETURN_IF_ERROR(WriteReplicationEpoch(wal_base, promoted));
   return promoted;
 }
 
@@ -193,8 +207,8 @@ void ReplicationPrimary::OnDurableBatch(const std::vector<WalFrame>& frames) {
       min_acked = std::min(min_acked, peer->acked_lsn);
     }
     while (!tail_.empty() && (tail_.front().lsn <= min_acked ||
-                              tail_.size() > options_.tail_buffer_frames ||
-                              tail_bytes_ > options_.tail_buffer_bytes)) {
+                              tail_.size() > kTailBufferFrames ||
+                              tail_bytes_ > kTailBufferBytes)) {
       if (tail_.front().lsn > min_acked) ++tail_evictions_;
       tail_bytes_ -= tail_.front().payload.size();
       tail_.pop_front();
@@ -346,7 +360,7 @@ void ReplicationPrimary::PeerLoop(Peer& peer) {
 Status ReplicationPrimary::ConnectPeer(Peer& peer) {
   ADEPT_ASSIGN_OR_RETURN(
       std::unique_ptr<TcpConnection> conn,
-      TcpConnection::Dial(peer.endpoint, options_.connect_timeout_ms));
+      TcpConnection::Dial(peer.endpoint, kConnectTimeoutMs));
   conn->set_fault_injector(peer.injector);
   conn->set_write_timeout_ms(options_.io_timeout_ms);
   {
@@ -420,7 +434,7 @@ Status ReplicationPrimary::RunSession(Peer& peer, TcpConnection& conn) {
   acks_cv_.notify_all();
 
   // The streaming loop: stop-and-wait batches. Simplicity over pipeline
-  // depth — a batch carries up to max_batch_frames frames, so the ack
+  // depth — a batch carries up to kMaxBatchFrames frames, so the ack
   // round trip amortizes well, and "resume from any acked prefix" falls
   // out of tracking nothing but acked_lsn. An idle stream degenerates to
   // HEARTBEAT/ACK ping-pong every heartbeat_interval_ms, which is what
@@ -577,7 +591,7 @@ Result<std::vector<WalFrame>> ReplicationPrimary::CollectFrames(
     if (!tail_.empty() && tail_.front().lsn <= acked + 1) {
       for (const WalFrame& frame : tail_) {
         if (frame.lsn <= acked) continue;
-        if (frames.size() >= options_.max_batch_frames) break;
+        if (frames.size() >= kMaxBatchFrames) break;
         frames.push_back(frame);
       }
       return frames;
@@ -599,7 +613,7 @@ Result<std::vector<WalFrame>> ReplicationPrimary::CollectFrames(
     // written-but-unsynced frames, and a replica must not get ahead of
     // what the primary acknowledges as durable.
     if (frame.lsn > durable) break;
-    if (frames.size() >= options_.max_batch_frames) break;
+    if (frames.size() >= kMaxBatchFrames) break;
     frames.push_back(std::move(frame));
   }
   return frames;

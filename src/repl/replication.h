@@ -111,23 +111,12 @@ struct ReplicationOptions {
   // asynchronous); replicas.size() + 1 = every copy. Must satisfy
   // 1 <= quorum <= replicas.size() + 1.
   int quorum = 1;
-  int connect_timeout_ms = 1000;
   // Per-frame read/write timeout on peer connections.
   int io_timeout_ms = 5000;
   // WaitRemote gives up (kUnavailable) after this long without a quorum.
   int ack_timeout_ms = 10000;
   // Backoff between reconnect attempts to a down peer.
   int retry_ms = 100;
-  // Frames coalesced into one BATCH message.
-  size_t max_batch_frames = 512;
-  // In-memory tail retained for streaming before peers must fall back to
-  // reading the WAL file. Frames every peer has acked are dropped when the
-  // next durable batch arrives. Bounded twice: by frame count and by
-  // payload bytes — whichever trips first evicts from the front (a dead
-  // peer can no longer pin unbounded memory; it catches up from the WAL
-  // file or a snapshot reset instead; see tail_evictions in PrimaryStatus).
-  size_t tail_buffer_frames = 8192;
-  size_t tail_buffer_bytes = 32u << 20;  // 32 MiB
   // Idle-stream liveness probe interval and the health thresholds the
   // primary applies to its replicas (alive -> suspect -> dead).
   int heartbeat_interval_ms = 250;
@@ -302,9 +291,16 @@ class ReplicationPrimary : public WalCommitHook {
   std::vector<std::unique_ptr<Peer>> peers_;
 };
 
-// Reads the failover epoch persisted at "<wal_base>.replmeta"; writes and
-// returns epoch 1 when the file does not exist yet.
+// The failover epoch file of the file set at `wal_base`:
+// "<wal_base>.replmeta", holding {"epoch": e}.
+std::string ReplicationEpochPath(const std::string& wal_base);
+
+// Reads the failover epoch persisted at ReplicationEpochPath(wal_base);
+// writes and returns epoch 1 when the file does not exist yet.
 Result<uint64_t> ReadReplicationEpoch(const std::string& wal_base);
+
+// Atomically (re)writes the epoch file with `epoch`.
+Status WriteReplicationEpoch(const std::string& wal_base, uint64_t epoch);
 
 // Promotion: bumps the failover epoch of the file set at `wal_base`
 // (a stopped replica's — or a recovering primary's — base WAL path) and

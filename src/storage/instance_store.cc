@@ -129,7 +129,7 @@ Result<std::shared_ptr<const SchemaView>> InstanceStore::ViewFor(
 }
 
 Result<std::shared_ptr<const SchemaView>> InstanceStore::AddBias(
-    InstanceId id, Delta delta) {
+    InstanceId id, const Delta& delta) {
   auto it = records_.find(id);
   if (it == records_.end()) return Status::NotFound("no such instance");
   Record& record = it->second;

@@ -78,13 +78,14 @@ class InstanceStore {
   // version's instances.
   std::vector<InstanceId> IdsOnBase(SchemaId base) const;
 
-  // Extends the instance's bias by `delta` (ops get pinned bias-range ids),
-  // verifies the combined schema, updates the representation, and returns
-  // the new execution view.
+  // Extends the instance's bias by clones of `delta`'s ops (the clones get
+  // pinned bias-range ids; `delta` is only read), verifies the combined
+  // schema, updates the representation, and returns the new execution
+  // view.
   //   kFailedPrecondition - an op does not apply structurally
   //   kVerificationFailed - combined schema breaks a buildtime rule
   Result<std::shared_ptr<const SchemaView>> AddBias(InstanceId id,
-                                                    Delta delta);
+                                                    const Delta& delta);
 
   // Re-bases the instance onto `new_base` (migration). An unbiased
   // instance just moves. A biased one installs `bias` and `verified`,

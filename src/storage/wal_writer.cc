@@ -6,6 +6,10 @@
 
 namespace adept {
 
+// Cap on frames coalesced into one write+sync cycle; bounds the latency a
+// single huge backlog can impose on the oldest waiter.
+constexpr size_t kMaxBatchRecords = 4096;
+
 Result<std::unique_ptr<WalWriter>> WalWriter::Open(
     const std::string& path, const WalWriterOptions& options,
     const WalScan* prescan) {
@@ -147,8 +151,8 @@ uint64_t WalWriter::durable_lsn() const {
 
 void WalWriter::DrainBatchLocked(std::unique_lock<std::mutex>& lock) {
   std::vector<Pending> batch;
-  batch.reserve(std::min(queue_.size(), options_.max_batch_records));
-  while (!queue_.empty() && batch.size() < options_.max_batch_records) {
+  batch.reserve(std::min(queue_.size(), kMaxBatchRecords));
+  while (!queue_.empty() && batch.size() < kMaxBatchRecords) {
     batch.push_back(std::move(queue_.front()));
     queue_.pop_front();
   }

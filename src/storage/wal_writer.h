@@ -74,9 +74,6 @@ class WalCommitHook {
 struct WalWriterOptions {
   // Durability applied once per drained batch (see SyncMode in wal.h).
   SyncMode sync = SyncMode::kFlush;
-  // Cap on frames coalesced into one write+sync cycle; bounds the latency
-  // a single huge backlog can impose on the oldest waiter.
-  size_t max_batch_records = 4096;
   // LSN tickets start above max(this, the log's persisted last LSN).
   // Recovery seeds it with the snapshot's covered LSN: after a checkpoint
   // truncated the log, the file alone no longer remembers how far
