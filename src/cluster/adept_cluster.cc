@@ -375,53 +375,66 @@ Status AdeptCluster::CheckTopology() const {
   return Status::OK();
 }
 
-Result<SchemaId> AdeptCluster::FanOutSchemaOp(
+std::vector<Status> AdeptCluster::FanOut(
+    const std::function<Status(size_t, AdeptSystem&)>& call) {
+  std::vector<Status> statuses(shards_.size());
+  std::vector<std::function<void()>> tasks;
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    tasks.push_back([this, k, &call, &statuses] {
+      Shard& shard = *shards_[k];
+      uint64_t lsn = 0;
+      {
+        std::lock_guard<std::mutex> lock(shard.mu);
+        statuses[k] = call(k, *shard.system);
+        lsn = shard.system->last_enqueued_lsn();
+      }
+      // Each task awaits its own shard's writer with the lock released.
+      if (statuses[k].ok()) statuses[k] = shard.system->WaitWalDurable(lsn);
+    });
+  }
+  RunParallel(std::move(tasks));
+  return statuses;
+}
+
+Result<SchemaId> AdeptCluster::ChangeSchema(
     const char* what,
-    const std::function<Result<SchemaId>(AdeptSystem&)>& op) {
+    const std::function<Result<SchemaId>(AdeptSystem&)>& change) {
   std::lock_guard<std::mutex> schema_lock(schema_mu_);
   if (schema_poisoned_) return SchemaPoisoned();
   ADEPT_RETURN_IF_ERROR(CheckTopology());
-  SchemaId canonical;
-  std::vector<uint64_t> lsns(shards_.size(), 0);
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    Shard& shard = *shards_[i];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto result = op(*shard.system);
-    lsns[i] = shard.system->last_enqueued_lsn();
-    if (i == 0) {
-      // Verification failures surface here, before any shard is touched.
-      if (!result.ok()) return result.status();
-      canonical = *result;
-    } else if (!result.ok() || *result != canonical) {
-      schema_poisoned_ = true;
-      return Status::Internal(std::string("schema ") + what +
-                              " diverged on shard " + std::to_string(i) +
-                              "; schema management is now disabled");
-    }
+  std::vector<Result<SchemaId>> ids(shards_.size(), SchemaId());
+  const std::vector<Status> statuses =
+      FanOut([&](size_t k, AdeptSystem& system) {
+        ids[k] = change(system);
+        return ids[k].status();
+      });
+  // The same refusal on every shard (verification failure, duplicate type,
+  // stale base) is the caller's error: no shard changed. Any other answer
+  // than shard 0's, or a record shard k's log durably lacks after every
+  // shard applied the change in memory, leaves the shards disagreeing
+  // after a crash: refuse further schema management.
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    const bool same = ids[k].ok() ? ids[0].ok() && *ids[k] == *ids[0]
+                                  : ids[k].status() == ids[0].status();
+    if (same && statuses[k].ok() == ids[k].ok()) continue;
+    schema_poisoned_ = true;
+    if (same) return statuses[k];
+    return Status::Internal(std::string("schema ") + what +
+                            " diverged on shard " + std::to_string(k) +
+                            "; schema management is now disabled");
   }
-  // All shard locks are released; the per-shard writers flush in parallel.
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    Status durable = shards_[i]->system->WaitWalDurable(lsns[i]);
-    if (!durable.ok()) {
-      // Every shard applied the change in memory but shard i's log durably
-      // lacks the record: after a crash the shards disagree, the same
-      // hazard as a diverged fan-out — refuse further schema management.
-      schema_poisoned_ = true;
-      return durable;
-    }
-  }
-  return canonical;
+  return ids[0];
 }
 
 Result<SchemaId> AdeptCluster::DeployProcessType(
     std::shared_ptr<const ProcessSchema> schema) {
-  return FanOutSchemaOp("deploy", [&](AdeptSystem& system) {
+  return ChangeSchema("deploy", [&](AdeptSystem& system) {
     return system.DeployProcessType(schema);
   });
 }
 
 Result<SchemaId> AdeptCluster::EvolveProcessType(SchemaId base, Delta delta) {
-  return FanOutSchemaOp("evolution", [&](AdeptSystem& system) {
+  return ChangeSchema("evolution", [&](AdeptSystem& system) {
     return system.EvolveProcessType(base, delta.Clone());
   });
 }
@@ -592,132 +605,60 @@ OpResult AdeptCluster::Apply(const InstanceOp& op) {
 
 // --- Dynamic change (fan-out) ------------------------------------------------
 
-namespace {
-
-// A failed shard turns the whole call into an error, but the message names
-// the failed shards and how many instances the successful ones already
-// migrated — that migration work is committed (and WAL-logged) per shard.
-Result<MigrationReport> MergeReports(
-    std::vector<Result<MigrationReport>>& reports) {
-  std::string failures;
-  size_t migrated_elsewhere = 0;
-  for (size_t i = 0; i < reports.size(); ++i) {
-    if (reports[i].ok()) {
-      migrated_elsewhere += reports[i]->MigratedTotal();
-      continue;
-    }
-    if (!failures.empty()) failures += "; ";
-    failures += "shard " + std::to_string(i) + ": " +
-                reports[i].status().ToString();
-  }
-  if (!failures.empty()) {
-    return Status::Internal(
-        "migration failed on " + failures + " (other shards committed " +
-        std::to_string(migrated_elsewhere) + " migrated instances)");
-  }
+Result<MigrationReport> AdeptCluster::MigrateShards(
+    const std::function<Result<MigrationReport>(AdeptSystem&)>& migrate) {
+  std::lock_guard<std::mutex> schema_lock(schema_mu_);
+  ADEPT_RETURN_IF_ERROR(CheckTopology());
+  std::vector<Result<MigrationReport>> reports(
+      shards_.size(), Result<MigrationReport>(Status::Internal("not run")));
+  // Each shard's Migrate announces the instances it changed to the
+  // worklist under the shard lock, so no resync follows the fan-out.
+  const std::vector<Status> statuses =
+      FanOut([&](size_t k, AdeptSystem& system) {
+        reports[k] = migrate(system);
+        return reports[k].status();
+      });
+  // A failed shard turns the whole call into an error, but the message
+  // names the failed shards and how many instances the successful ones
+  // already migrated — that work is committed (and WAL-logged) per shard.
   MigrationReport merged;
-  bool first = true;
-  for (auto& report : reports) {
-    if (first) {
-      merged = std::move(*report);
-      first = false;
+  std::string failures;
+  size_t migrated = 0;
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    if (!statuses[k].ok()) {
+      failures += (failures.empty() ? "shard " : "; shard ") +
+                  std::to_string(k) + ": " + statuses[k].ToString();
       continue;
     }
-    for (auto& result : report->results) {
+    migrated += reports[k]->MigratedTotal();
+    if (k == 0) {
+      merged = std::move(*reports[k]);
+      continue;
+    }
+    for (auto& result : reports[k]->results) {
       merged.results.push_back(std::move(result));
     }
+  }
+  if (!failures.empty()) {
+    return Status::Internal("migration failed on " + failures +
+                            " (other shards committed " +
+                            std::to_string(migrated) + " migrated instances)");
   }
   return merged;
 }
 
-}  // namespace
-
 Result<MigrationReport> AdeptCluster::Migrate(SchemaId from, SchemaId to,
                                               const MigrationOptions& options) {
-  std::lock_guard<std::mutex> schema_lock(schema_mu_);
-  ADEPT_RETURN_IF_ERROR(CheckTopology());
-  std::vector<Result<MigrationReport>> reports(
-      shards_.size(), Result<MigrationReport>(Status::Internal("not run")));
-  std::vector<std::function<void()>> tasks;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    tasks.push_back([this, i, from, to, &options, &reports] {
-      Shard& shard = *shards_[i];
-      uint64_t lsn = 0;
-      {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        reports[i] = shard.system->Migrate(from, to, options);
-        lsn = shard.system->last_enqueued_lsn();
-      }
-      // Each task awaits its own shard's writer with the lock released.
-      if (reports[i].ok()) {
-        Status durable = shard.system->WaitWalDurable(lsn);
-        if (!durable.ok()) reports[i] = durable;
-      }
-    });
-  }
-  RunParallel(std::move(tasks));
-  // Resync even when a shard failed: the successful shards' migrations
-  // are committed, so their stale items must still be retracted.
-  if (!options.dry_run) ResyncClusterWorklist(reports);
-  return MergeReports(reports);
+  return MigrateShards([&](AdeptSystem& system) {
+    return system.Migrate(from, to, options);
+  });
 }
 
 Result<MigrationReport> AdeptCluster::MigrateToLatest(
     const std::string& type_name, const MigrationOptions& options) {
-  std::lock_guard<std::mutex> schema_lock(schema_mu_);
-  ADEPT_RETURN_IF_ERROR(CheckTopology());
-  std::vector<Result<MigrationReport>> reports(
-      shards_.size(), Result<MigrationReport>(Status::Internal("not run")));
-  std::vector<std::function<void()>> tasks;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    tasks.push_back([this, i, &type_name, &options, &reports] {
-      Shard& shard = *shards_[i];
-      uint64_t lsn = 0;
-      {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        reports[i] = shard.system->MigrateToLatest(type_name, options);
-        lsn = shard.system->last_enqueued_lsn();
-      }
-      if (reports[i].ok()) {
-        Status durable = shard.system->WaitWalDurable(lsn);
-        if (!durable.ok()) reports[i] = durable;
-      }
-    });
-  }
-  RunParallel(std::move(tasks));
-  // Resync even when a shard failed: the successful shards' migrations
-  // are committed, so their stale items must still be retracted.
-  if (!options.dry_run) ResyncClusterWorklist(reports);
-  return MergeReports(reports);
-}
-
-// Shards hold no worklist of their own, so this is the only reconciliation
-// after a migration: revoke items whose node vanished in the remap, offer
-// what the demotion events could not announce. Only a changed instance can
-// hold a stale item, so a round's resync costs what it migrated.
-void AdeptCluster::ResyncClusterWorklist(
-    const std::vector<Result<MigrationReport>>& reports) {
-  worklist_->ResyncAfterMigration(
-      [this, &reports](const WorklistService::InstanceVisitor& visit) {
-        for (size_t k = 0; k < shards_.size(); ++k) {
-          const Shard& shard = *shards_[k];
-          std::lock_guard<std::mutex> lock(shard.mu);
-          const Engine& engine = shard.system->engine();
-          std::vector<InstanceId> ids;
-          if (k < reports.size() && reports[k].ok()) {
-            for (const auto& result : reports[k]->results) {
-              if (ChangesInstance(result.outcome)) ids.push_back(result.id);
-            }
-          } else {
-            ids = engine.InstanceIds();
-          }
-          for (InstanceId id : ids) {
-            if (const ProcessInstance* instance = engine.Find(id)) {
-              visit(*instance);
-            }
-          }
-        }
-      });
+  return MigrateShards([&](AdeptSystem& system) {
+    return system.MigrateToLatest(type_name, options);
+  });
 }
 
 // --- Durability / observers --------------------------------------------------
@@ -981,8 +922,11 @@ Status AdeptCluster::Resize(int new_shard_count) {
   pool_ = MakePool(m);
 
   // Self-check sweep: reconcile the worklist with engine truth under the
-  // new placement (a no-op when the handover was clean).
-  ResyncClusterWorklist();
+  // new placement (a no-op when the handover was clean), through the
+  // handler a migration's announcements run.
+  ForEachInstance([this](const ProcessInstance& instance) {
+    worklist_->OnInstanceMigrated(instance);
+  });
   return Status::OK();
 }
 

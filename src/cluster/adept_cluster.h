@@ -12,10 +12,10 @@
 //   * creation         new instances are placed round-robin; all later
 //                      lifecycle/worklist calls are routed to the owner.
 //   * schema calls     DeployProcessType/EvolveProcessType/Migrate fan out
-//                      to every shard under a global schema lock; since all
-//                      shards see the identical call sequence, they allocate
-//                      identical SchemaIds (divergence is detected and
-//                      reported as kInternal).
+//                      to every shard in parallel (FanOut) under a global
+//                      schema lock; since all shards see the identical call
+//                      sequence, they allocate identical SchemaIds
+//                      (divergence is detected and reported as kInternal).
 //   * locking          one mutex per shard serializes that shard's engine
 //                      turn; distinct shards execute in parallel. Reads
 //                      (SnapshotOf/ReadInstance/ForEachSnapshot) take no
@@ -380,13 +380,21 @@ class AdeptCluster : public AdeptApi {
                                                 : ShardOf(op.id);
   }
 
-  // Shared body of DeployProcessType/EvolveProcessType: fans `op` out to
-  // every shard under schema_mu_, verifies the allocated SchemaIds agree,
-  // then (locks released) waits for every shard's WAL durability. Any
-  // divergence or durability failure poisons schema management.
-  Result<SchemaId> FanOutSchemaOp(
+  // The one shard-wide fan-out, run under schema_mu_: for every shard in
+  // parallel on the worker pool, shard lock, `call(k, shard k)`, unlock,
+  // then a wait until what the call enqueued is durable. Returns each
+  // shard's status: the call's, or the wait's when the call succeeded.
+  std::vector<Status> FanOut(
+      const std::function<Status(size_t, AdeptSystem&)>& call);
+  // Body of DeployProcessType/EvolveProcessType through FanOut. The same
+  // failure on every shard is the caller's error; any other disagreement
+  // (kInternal) or a failed durability wait poisons schema management.
+  Result<SchemaId> ChangeSchema(
       const char* what,
-      const std::function<Result<SchemaId>(AdeptSystem&)>& op);
+      const std::function<Result<SchemaId>(AdeptSystem&)>& change);
+  // Body of Migrate/MigrateToLatest through FanOut: merges the reports.
+  Result<MigrationReport> MigrateShards(
+      const std::function<Result<MigrationReport>(AdeptSystem&)>& migrate);
 
   // Publishes the current (routing_, shards_) pair as the readers' view.
   void PublishReadView();
@@ -440,7 +448,9 @@ class AdeptCluster : public AdeptApi {
 
   // Body of SaveSnapshot() with schema_mu_ already held (Resize
   // checkpoints while holding it): logs the org into every shard, then
-  // checkpoints the shard.
+  // checkpoints the shard. One shard at a time, not through FanOut: a
+  // checkpoint materializes its shard's whole state, so checkpointing the
+  // shards at once multiplies the transient memory by the shard count.
   Status SaveSnapshotLocked();
   size_t NextCreationShard() {
     return static_cast<size_t>(rr_.fetch_add(1, std::memory_order_relaxed) %
@@ -451,14 +461,6 @@ class AdeptCluster : public AdeptApi {
   // shards' claim ledgers) the worklist service and subscribes it to every
   // shard.
   void AttachWorklist(bool recover);
-  // Reconciles the worklist with engine truth, one shard at a time under
-  // its lock. Shard k visits only the instances its report `reports[k]`
-  // says changed (ChangesInstance): the shared tail of Migrate() and
-  // MigrateToLatest(). A shard without a successful report (its call
-  // failed, so what it changed is unknown; or no reports at all, as after
-  // Resize) is visited whole.
-  void ResyncClusterWorklist(
-      const std::vector<Result<MigrationReport>>& reports = {});
 
   ClusterOptions options_;
   std::vector<std::shared_ptr<Shard>> shards_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -383,14 +384,14 @@ Result<PrimaryView> FailoverCoordinator::Promote() {
     // pair wholesale (the pair is internally consistent; mixing one
     // node's snapshot with another's WAL is not).
     const Node& donor = nodes_[static_cast<size_t>(live[best])];
+    const size_t shard = static_cast<size_t>(k);
     for (const auto& [from, to] :
          {std::pair<std::string, std::string>(
-              ShardFile(donor.wal_path, static_cast<uint64_t>(k)),
-              ShardFile(target_node.wal_path, static_cast<uint64_t>(k))),
+              ShardRouting::PathFor(donor.wal_path, shard),
+              ShardRouting::PathFor(target_node.wal_path, shard)),
           std::pair<std::string, std::string>(
-              ShardFile(donor.snapshot_path, static_cast<uint64_t>(k)),
-              ShardFile(target_node.snapshot_path,
-                        static_cast<uint64_t>(k)))}) {
+              ShardRouting::PathFor(donor.snapshot_path, shard),
+              ShardRouting::PathFor(target_node.snapshot_path, shard))}) {
       Status st = CopyFile(from, to);
       if (!st.ok()) {
         restart_standbys();
@@ -596,26 +597,22 @@ Status FailoverCoordinator::StartNodeLocked(int i) {
   return Status::OK();
 }
 
-std::string FailoverCoordinator::ShardFile(const std::string& base,
-                                           uint64_t shard) {
-  return StrFormat("%s.shard%llu", base.c_str(),
-                   static_cast<unsigned long long>(shard));
-}
-
 Result<uint64_t> FailoverCoordinator::ShardDurableLsnOnDisk(
     const std::string& wal_base, const std::string& snap_base,
     uint64_t shard) {
   uint64_t lsn = 0;
-  const std::string snap = ShardFile(snap_base, shard);
+  const std::string snap = ShardRouting::PathFor(snap_base, shard);
   if (std::filesystem::exists(snap)) {
     ADEPT_ASSIGN_OR_RETURN(std::string blob, ReadFileToString(snap));
     ADEPT_ASSIGN_OR_RETURN(JsonValue doc, JsonValue::Parse(blob));
     lsn = static_cast<uint64_t>(doc.Get("wal_lsn").as_int());
   }
+  // Only the last LSN is read: a tail after the largest LSN holds no frame.
   ADEPT_ASSIGN_OR_RETURN(
-      WalTail tail, WriteAheadLog::ReadTail(ShardFile(wal_base, shard), 0));
-  if (!tail.frames.empty()) lsn = std::max(lsn, tail.frames.back().lsn);
-  return lsn;
+      WalTail tail,
+      WriteAheadLog::ReadTail(ShardRouting::PathFor(wal_base, shard),
+                              std::numeric_limits<uint64_t>::max()));
+  return std::max(lsn, tail.last_lsn);
 }
 
 Status FailoverCoordinator::CopyFile(const std::string& from,

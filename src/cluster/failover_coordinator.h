@@ -208,7 +208,6 @@ class FailoverCoordinator : public PrimaryResolver {
   static Result<uint64_t> ShardDurableLsnOnDisk(const std::string& wal_base,
                                                 const std::string& snap_base,
                                                 uint64_t shard);
-  static std::string ShardFile(const std::string& base, uint64_t shard);
   static Status CopyFile(const std::string& from, const std::string& to);
 
   void RunHook(const std::string& stage);

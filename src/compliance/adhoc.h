@@ -22,12 +22,15 @@
 namespace adept {
 
 // `delta` is only read: the store pins instance-range ids on its own copies
-// of the ops, which become the instance's bias. Error contract:
+// of the ops, which become the instance's bias. With `log_warnings`, the
+// warnings the change introduced (absent from the instance's report before
+// it) are logged; WAL replay passes false, since they were logged when the
+// change was made. Error contract:
 //   kNotCompliant        a state pre-condition is violated
 //   kFailedPrecondition  an op does not apply structurally
 //   kVerificationFailed  the changed schema breaks a buildtime guarantee
 Status ApplyAdHocChange(ProcessInstance& instance, InstanceStore& store,
-                        const Delta& delta);
+                        const Delta& delta, bool log_warnings = true);
 
 }  // namespace adept
 

@@ -55,7 +55,7 @@ const char* MigrationOutcomeToString(MigrationOutcome outcome);
 // the three migrated outcomes, and kError, because MigrateOne can fail
 // after AdoptSchema, ClearBias or the replay oracle check has already
 // changed the instance. Every other outcome leaves both untouched, so
-// whoever republishes or resyncs after a migration visits only these.
+// whoever republishes or reconciles after a migration visits only these.
 bool ChangesInstance(MigrationOutcome outcome);
 
 struct InstanceMigrationResult {

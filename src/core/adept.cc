@@ -9,8 +9,28 @@
 #include "compliance/adhoc.h"
 #include "model/serialization.h"
 #include "storage/state_serialization.h"
+#include "verify/verifier.h"
 
 namespace adept {
+
+namespace {
+
+// The warnings of the version a deploy or evolution just stored. Replay
+// calls neither: they were logged when the version was made.
+void LogVersionWarnings(const char* action, SchemaRepository& repository,
+                        SchemaId id) {
+  auto schema = repository.Get(id);
+  auto report = repository.ReportFor(id);
+  if (!schema.ok() || !report.ok()) return;
+  for (const auto& issue : (*report)->issues()) {
+    if (issue.severity != VerifySeverity::kWarning) continue;
+    ADEPT_LOG(kWarning) << action << " " << (*schema)->type_name() << " v"
+                        << (*schema)->version() << ": ["
+                        << VerifyRuleId(issue.rule) << "] " << issue.message;
+  }
+}
+
+}  // namespace
 
 AdeptSystem::AdeptSystem(const AdeptOptions& options) : options_(options) {
   engine_.set_observer(&fanout_);
@@ -94,7 +114,7 @@ Result<std::unique_ptr<AdeptSystem>> AdeptSystem::Recover(
 }
 
 Status AdeptSystem::Log(const JsonValue& record) {
-  if (wal_ == nullptr || recovering_) return Status::OK();
+  if (!Logging()) return Status::OK();
   last_enqueued_lsn_ = wal_->Enqueue(record);
   if (options_.defer_wal_sync) return Status::OK();
   return wal_->WaitDurable(last_enqueued_lsn_);
@@ -109,21 +129,27 @@ Status AdeptSystem::WaitWalDurable(uint64_t lsn) {
 
 Result<SchemaId> AdeptSystem::DeployProcessType(
     std::shared_ptr<const ProcessSchema> schema) {
-  JsonValue schema_json =
-      schema != nullptr ? SchemaToJson(*schema) : JsonValue();
   ADEPT_ASSIGN_OR_RETURN(SchemaId id, repository_.Deploy(std::move(schema)));
+  if (recovering_) return id;
+  LogVersionWarnings("deploy", repository_, id);
+  if (wal_ == nullptr) return id;
+  ADEPT_ASSIGN_OR_RETURN(std::shared_ptr<const ProcessSchema> deployed,
+                         repository_.Get(id));
   JsonValue record = JsonValue::MakeObject();
   record.Set("t", JsonValue("deploy"));
   record.Set("id", JsonValue(id.value()));
-  record.Set("schema", std::move(schema_json));
+  record.Set("schema", SchemaToJson(*deployed));
   ADEPT_RETURN_IF_ERROR(Log(record));
   return id;
 }
 
 Result<SchemaId> AdeptSystem::EvolveProcessType(SchemaId base, Delta delta) {
-  // The delta is serialized *after* application so pins are captured.
   ADEPT_ASSIGN_OR_RETURN(SchemaId id,
                          repository_.DeriveVersion(base, std::move(delta)));
+  if (recovering_) return id;
+  LogVersionWarnings("evolve", repository_, id);
+  if (wal_ == nullptr) return id;
+  // The stored delta carries the pins its application captured.
   ADEPT_ASSIGN_OR_RETURN(const Delta* stored, repository_.DeltaFor(id));
   JsonValue record = JsonValue::MakeObject();
   record.Set("t", JsonValue("evolve"));
@@ -240,9 +266,7 @@ OpResult AdeptSystem::Apply(const InstanceOp& op) {
   OpResult result;
   result.id = op.id;
   result.status = [&]() -> Status {
-    // Replay and a system without a WAL log nothing, so they build no
-    // record either.
-    const bool logging = wal_ != nullptr && !recovering_;
+    const bool logging = Logging();
     ProcessInstance* instance = nullptr;
     if (op.kind != Kind::kCreate) {
       instance = engine_.Find(op.id);
@@ -309,8 +333,8 @@ OpResult AdeptSystem::Apply(const InstanceOp& op) {
         ADEPT_ASSIGN_OR_RETURN(const InstanceStore::Record* record,
                                store_.Get(op.id));
         const size_t prior_ops = record->bias.size();
-        ADEPT_RETURN_IF_ERROR(
-            adept::ApplyAdHocChange(*instance, store_, *op.delta));
+        ADEPT_RETURN_IF_ERROR(adept::ApplyAdHocChange(
+            *instance, store_, *op.delta, /*log_warnings=*/!recovering_));
         if (logging) {
           pinned_ops = JsonValue::MakeArray();
           const auto& bias_ops = record->bias.ops();
@@ -329,18 +353,16 @@ OpResult AdeptSystem::Apply(const InstanceOp& op) {
   return result;
 }
 
-WorklistService::InstanceEnumerator AdeptSystem::EngineInstances() {
-  return [this](const WorklistService::InstanceVisitor& visit) {
-    for (InstanceId id : engine_.InstanceIds()) visit(*engine_.Find(id));
-  };
-}
-
 WorklistService& AdeptSystem::worklists() {
   if (worklists_ == nullptr) {
     WorklistServiceOptions options;
     options.segments = 1;  // single-threaded facade: nothing to spread
-    worklists_ = WorklistService::Recover(&org_, this, options,
-                                          EngineInstances(), {&claims_});
+    worklists_ = WorklistService::Recover(
+        &org_, this, options,
+        [this](const WorklistService::InstanceVisitor& visit) {
+          for (InstanceId id : engine_.InstanceIds()) visit(*engine_.Find(id));
+        },
+        {&claims_});
     fanout_.Add(worklists_.get());
   }
   return *worklists_;
@@ -384,30 +406,20 @@ Result<MigrationReport> AdeptSystem::Migrate(SchemaId from, SchemaId to,
   // No instance on `from`: nothing changed, and replaying a record would
   // find nothing either, so none is logged.
   if (options.dry_run || report.results.empty()) return report;
-  // A bias-cancelling migration remaps node ids without node events; drop
-  // the claims it stranded (replaying the record prunes the same ones).
-  claims_.Prune(engine_);
-  // Bias-cancellation migrations rewrite instance markings wholesale
-  // (no per-node events), which can strand work items referencing
-  // remapped node ids; reconcile before anyone claims a stale item.
-  if (worklists_ != nullptr) {
-    worklists_->ResyncAfterMigration(
-        [&](const WorklistService::InstanceVisitor& visit) {
-          for (const auto& result : report.results) {
-            if (!ChangesInstance(result.outcome)) continue;
-            if (const ProcessInstance* instance = engine_.Find(result.id)) {
-              visit(*instance);
-            }
-          }
-        });
-  }
-  // Migration mutates instances below the facade's per-call hooks;
-  // republish the changed instances so the read path sees the new schema
-  // refs and remapped markings. Instances that stay behind keep their
-  // snapshot, and with its version their cached checkpoint entry.
+  // Migration changes instances below the facade's per-call hooks, and a
+  // bias cancellation remaps node ids without node events: republish each
+  // changed instance and announce it to the observers, whose handlers
+  // (the claim ledger, a worklist) reconcile it. Instances that stay
+  // behind keep their snapshot, and with its version their cached
+  // checkpoint entry.
   for (const auto& result : report.results) {
-    if (ChangesInstance(result.outcome)) PublishSnapshot(result.id);
+    if (!ChangesInstance(result.outcome)) continue;
+    PublishSnapshot(result.id);
+    if (const ProcessInstance* instance = engine_.Find(result.id)) {
+      fanout_.OnInstanceMigrated(*instance);
+    }
   }
+  if (!Logging()) return report;
   JsonValue record = JsonValue::MakeObject();
   record.Set("t", JsonValue("migrate"));
   record.Set("from", JsonValue(from.value()));
@@ -552,6 +564,7 @@ Result<JsonValue> AdeptSystem::ExportInstance(InstanceId id) const {
 
 Status AdeptSystem::ImportInstance(const JsonValue& exported) {
   ADEPT_RETURN_IF_ERROR(AdoptInstanceFromJson(exported));
+  if (!Logging()) return Status::OK();
   JsonValue record = JsonValue::MakeObject();
   record.Set("t", JsonValue("import"));
   record.Set("inst", exported);
@@ -567,6 +580,7 @@ Status AdeptSystem::EvictInstance(InstanceId id) {
   // by the time the routing epoch stabilizes, the import side's snapshot
   // (and its index entries) is published.
   ErasePublishedSnapshot(id);
+  if (!Logging()) return Status::OK();
   JsonValue record = JsonValue::MakeObject();
   record.Set("t", JsonValue("evict"));
   record.Set("id", JsonValue(id.value()));
@@ -575,6 +589,7 @@ Status AdeptSystem::EvictInstance(InstanceId id) {
 
 Status AdeptSystem::ReplicateSchemas(const JsonValue& repo_json) {
   ADEPT_RETURN_IF_ERROR(repository_.LoadFromJson(repo_json));
+  if (!Logging()) return Status::OK();
   JsonValue record = JsonValue::MakeObject();
   record.Set("t", JsonValue("repo"));
   record.Set("repo", repo_json);
@@ -606,41 +621,43 @@ Status AdeptSystem::SaveSnapshot() {
 
 Status AdeptSystem::ApplyWalRecord(const JsonValue& record) {
   const std::string& type = record.Get("t").as_string();
+  auto id_of = [&](const char* key) {
+    return static_cast<uint64_t>(record.Get(key).as_int());
+  };
+  // Each record runs the call that logged it. A schema call must allocate
+  // the id it logged.
+  auto same_id = [&](const Result<SchemaId>& id) -> Status {
+    ADEPT_RETURN_IF_ERROR(id.status());
+    if (id->value() != id_of("id")) {
+      return Status::Corruption("schema id diverged during replay");
+    }
+    return Status::OK();
+  };
   if (type == "deploy") {
     ADEPT_ASSIGN_OR_RETURN(std::shared_ptr<ProcessSchema> schema,
                            SchemaFromJson(record.Get("schema")));
-    ADEPT_ASSIGN_OR_RETURN(SchemaId id, repository_.Deploy(std::move(schema)));
-    if (id.value() != static_cast<uint64_t>(record.Get("id").as_int())) {
-      return Status::Corruption("schema id diverged during replay");
-    }
-    return Status::OK();
+    return same_id(DeployProcessType(std::move(schema)));
   }
   if (type == "evolve") {
     ADEPT_ASSIGN_OR_RETURN(Delta delta, Delta::FromJson(record.Get("delta")));
-    ADEPT_ASSIGN_OR_RETURN(
-        SchemaId id,
-        repository_.DeriveVersion(
-            SchemaId(static_cast<uint64_t>(record.Get("base").as_int())),
-            std::move(delta)));
-    if (id.value() != static_cast<uint64_t>(record.Get("id").as_int())) {
-      return Status::Corruption("schema id diverged during replay");
-    }
-    return Status::OK();
+    return same_id(
+        EvolveProcessType(SchemaId(id_of("base")), std::move(delta)));
   }
-  if (type == "repo") {
-    return repository_.LoadFromJson(record.Get("repo"));
-  }
-  if (type == "import") {
-    return AdoptInstanceFromJson(record.Get("inst"));
-  }
+  if (type == "repo") return ReplicateSchemas(record.Get("repo"));
+  if (type == "import") return ImportInstance(record.Get("inst"));
   if (type == "evict") {
     // Tolerate an already-absent instance: an evict whose import side was
     // checkpointed away replays against a shard that never re-created it.
-    InstanceId evicted(static_cast<uint64_t>(record.Get("id").as_int()));
+    const InstanceId evicted(id_of("id"));
+    if (engine_.Find(evicted) != nullptr) return EvictInstance(evicted);
     claims_.EraseInstance(evicted);
-    if (engine_.Find(evicted) == nullptr) return Status::OK();
-    (void)store_.Unregister(evicted);
-    return engine_.Remove(evicted);
+    return Status::OK();
+  }
+  if (type == "migrate") {
+    MigrationOptions options;
+    options.use_replay_checker = record.Get("use_replay").as_bool();
+    return Migrate(SchemaId(id_of("from")), SchemaId(id_of("to")), options)
+        .status();
   }
   if (type == "claim") return claims_.AddFromJson(record);
   if (type == "org") {
@@ -648,22 +665,9 @@ Status AdeptSystem::ApplyWalRecord(const JsonValue& record) {
     return Status::OK();
   }
   if (type == "release") {
-    claims_.Set(InstanceId(static_cast<uint64_t>(record.Get("id").as_int())),
-                NodeId(static_cast<uint32_t>(record.Get("node").as_int())),
+    claims_.Set(InstanceId(id_of("id")),
+                NodeId(static_cast<uint32_t>(id_of("node"))),
                 UserId::Invalid(), 0);
-    return Status::OK();
-  }
-  if (type == "migrate") {
-    MigrationOptions options;
-    options.use_replay_checker = record.Get("use_replay").as_bool();
-    ADEPT_RETURN_IF_ERROR(
-        migration_manager_
-            .MigrateAll(
-                SchemaId(static_cast<uint64_t>(record.Get("from").as_int())),
-                SchemaId(static_cast<uint64_t>(record.Get("to").as_int())),
-                options)
-            .status());
-    claims_.Prune(engine_);
     return Status::OK();
   }
   // Every other record is an instance op: the same Apply as live.

@@ -160,9 +160,9 @@ class AdeptSystem : public AdeptApi {
   // --- Dynamic change --------------------------------------------------------
 
   // Propagates the type change `from` -> `to` to all running instances.
-  // Republishes (and resyncs the worklist for) only the instances the
-  // migration changed (ChangesInstance); a pair with no instance on `from`
-  // logs no WAL record.
+  // Republishes only the instances the migration changed (ChangesInstance)
+  // and announces each to the observers (OnInstanceMigrated), live and on
+  // replay; a pair with no instance on `from` logs no WAL record.
   Result<MigrationReport> Migrate(
       SchemaId from, SchemaId to,
       const MigrationOptions& options = {}) override;
@@ -211,9 +211,9 @@ class AdeptSystem : public AdeptApi {
   const OrgModel& org() const { return org_; }
   // The standalone system's worklist. The first call builds it from the
   // current instances and claim ledger, as on recovery (one segment), and
-  // subscribes it to every later instance event; Migrate() then
-  // reconciles it. A system that never calls this keeps no work items,
-  // which is what a cluster shard relies on.
+  // subscribes it to every later instance event, a migration's included.
+  // A system that never calls this keeps no work items, which is what a
+  // cluster shard relies on.
   WorklistService& worklists();
 
   // Logs `org` as this system's durable org model: SaveSnapshot carries
@@ -284,7 +284,12 @@ class AdeptSystem : public AdeptApi {
   // so opening the writer does not rescan the file.
   Status OpenWalIfConfigured(uint64_t min_last_lsn = 0,
                              const WalScan* prescan = nullptr);
+  // Whether a call logs its record: replay and a system without a WAL log
+  // nothing, so they build no record either.
+  bool Logging() const { return wal_ != nullptr && !recovering_; }
   Status Log(const JsonValue& record);
+  // Decodes a WAL record and runs the call that logged it (Apply for an
+  // instance op), which logs nothing while recovering_.
   Status ApplyWalRecord(const JsonValue& record);
   Result<InstanceId> CreateInstanceInternal(SchemaId schema_id,
                                             InstanceId forced_id);
@@ -294,8 +299,6 @@ class AdeptSystem : public AdeptApi {
   Status AdoptInstanceFromJson(const JsonValue& ij);
   JsonValue SnapshotToJson(uint64_t wal_lsn) const;
   Status LoadSnapshotJson(const JsonValue& json, uint64_t* wal_lsn);
-  // Visits every engine instance: the worklist's offer derivation.
-  WorklistService::InstanceEnumerator EngineInstances();
   // Publishes `id`'s current state into the snapshot table (erases when
   // the instance is gone) and applies the publication delta to the query
   // indexes. No-op during recovery — Recover() bulk-publishes once at

@@ -1,7 +1,8 @@
 // Observer interface for instance-level runtime events.
 //
-// The worklist service and the monitoring component subscribe to these
-// callbacks. Observers must not re-enter the instance synchronously.
+// The worklist service, the claim ledger and the monitoring component
+// subscribe to these callbacks. Observers must not re-enter the instance
+// synchronously.
 
 #ifndef ADEPT_RUNTIME_EVENTS_H_
 #define ADEPT_RUNTIME_EVENTS_H_
@@ -37,6 +38,13 @@ class InstanceObserver {
     (void)data;
     (void)value;
   }
+  // A migration changed the instance (ChangesInstance) without one node
+  // event per change — a bias cancellation remaps node ids — so an
+  // observer keyed by node reconciles the whole instance here. Fired by
+  // AdeptSystem::Migrate, live and on replay.
+  virtual void OnInstanceMigrated(const ProcessInstance& instance) {
+    (void)instance;
+  }
 };
 
 // Broadcasts instance events to any number of subscribers (the engine holds
@@ -61,6 +69,9 @@ class ObserverFanout : public InstanceObserver {
     for (InstanceObserver* o : observers_) {
       o->OnDataWrite(instance, writer, data, value);
     }
+  }
+  void OnInstanceMigrated(const ProcessInstance& instance) override {
+    for (InstanceObserver* o : observers_) o->OnInstanceMigrated(instance);
   }
 
  private:

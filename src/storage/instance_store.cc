@@ -56,6 +56,12 @@ Result<const InstanceStore::Record*> InstanceStore::Get(InstanceId id) const {
   return &it->second;
 }
 
+Result<const VerificationReport*> InstanceStore::ReportOf(InstanceId id) {
+  ADEPT_ASSIGN_OR_RETURN(const Record* record, Get(id));
+  if (record->biased()) return &record->report;
+  return repository_->ReportFor(record->base_schema);
+}
+
 bool InstanceStore::IsBiased(InstanceId id) const {
   auto it = records_.find(id);
   return it != records_.end() && it->second.biased();

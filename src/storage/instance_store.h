@@ -69,6 +69,9 @@ class InstanceStore {
   Status Unregister(InstanceId id);
 
   Result<const Record*> Get(InstanceId id) const;
+  // Verification report of the instance's execution schema: the last bias
+  // application's when biased, its base version's otherwise.
+  Result<const VerificationReport*> ReportOf(InstanceId id);
   bool IsBiased(InstanceId id) const;
   size_t size() const { return records_.size(); }
   std::vector<InstanceId> Ids() const;

@@ -1,26 +1,9 @@
 #include "storage/schema_repository.h"
 
-#include "common/logging.h"
-#include "common/string_util.h"
 #include "model/serialization.h"
 #include "verify/verifier.h"
 
 namespace adept {
-
-namespace {
-
-void LogWarnings(const char* action, const std::string& type_name,
-                 int version, const VerificationReport& report) {
-  if (report.warning_count() == 0) return;
-  for (const auto& issue : report.issues()) {
-    if (issue.severity != VerifySeverity::kWarning) continue;
-    ADEPT_LOG(kWarning) << action << " " << type_name << " v" << version
-                        << ": [" << VerifyRuleId(issue.rule) << "] "
-                        << issue.message;
-  }
-}
-
-}  // namespace
 
 Result<SchemaId> SchemaRepository::Deploy(
     std::shared_ptr<const ProcessSchema> schema) {
@@ -37,8 +20,6 @@ Result<SchemaId> SchemaRepository::Deploy(
   if (!analyzed.report.ok()) {
     return Status::VerificationFailed(analyzed.report.FirstError());
   }
-  LogWarnings("deploy", schema->type_name(), schema->version(),
-              analyzed.report);
   SchemaId id(next_id_++);
   Entry entry{std::move(schema), SchemaId::Invalid(), Delta(),
               std::move(analyzed.report), std::move(analyzed.analysis)};
@@ -65,8 +46,6 @@ Result<SchemaId> SchemaRepository::DeriveVersion(SchemaId base, Delta delta) {
   ADEPT_ASSIGN_OR_RETURN(
       Delta::VerifiedSchema verified,
       delta.ApplyVerified(base_schema, base_entry->analysis.get()));
-  LogWarnings("evolve", verified.schema->type_name(),
-              verified.schema->version(), verified.report);
   SchemaId id(next_id_++);
   Entry entry{std::move(verified.schema), base, std::move(delta),
               std::move(verified.report), std::move(verified.analysis)};

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <string_view>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -40,18 +41,16 @@ bool ParseHeaderField(const std::string& content, size_t begin, size_t end,
   return true;
 }
 
-struct ParsedFrames {
-  std::vector<WalRecord> records;
-  // Offset one past the last complete frame; trailing bytes beyond it are
-  // damaged (crash-truncated or corrupt) and safe to discard.
-  size_t valid_bytes = 0;
-};
-
-// Decodes "<lsn>:<length>:<payload>\n" frames until the first damaged one.
-// All bounds checks subtract from content.size() rather than adding to the
-// parsed fields, so a forged header can never wrap the comparison.
-ParsedFrames ParseFrames(const std::string& content) {
-  ParsedFrames result;
+// The one frame walker: hands every complete "<lsn>:<length>:<payload>\n"
+// frame, in order, to `visit(lsn, payload, offset)` and stops at the first
+// damaged frame (truncated or forged header, missing terminator, LSN not
+// above its predecessor) or when `visit` returns false. Returns the offset
+// of the frame it stopped at: one past the last accepted frame, so bytes
+// beyond it are a damaged (crash-truncated or corrupt) tail. All bounds
+// checks subtract from content.size() rather than adding to the parsed
+// fields, so a forged header can never wrap the comparison.
+template <typename Visit>
+size_t WalkFrames(const std::string& content, Visit&& visit) {
   uint64_t previous_lsn = 0;
   size_t pos = 0;
   while (pos < content.size()) {
@@ -82,19 +81,16 @@ ParsedFrames ParseFrames(const std::string& content) {
                           << "; truncating";
       break;
     }
-    auto parsed = JsonValue::Parse(
-        content.substr(payload_start, static_cast<size_t>(length)));
-    if (!parsed.ok()) {
-      ADEPT_LOG(kWarning) << "WAL: unparsable record at offset " << pos
-                          << "; truncating";
+    if (!visit(lsn,
+               std::string_view(content).substr(payload_start,
+                                                static_cast<size_t>(length)),
+               pos)) {
       break;
     }
-    result.records.push_back({lsn, std::move(parsed).value()});
     previous_lsn = lsn;
     pos = payload_start + static_cast<size_t>(length) + 1;
-    result.valid_bytes = pos;
   }
-  return result;
+  return pos;
 }
 
 Result<std::string> ReadWholeFile(const std::string& path) {
@@ -157,10 +153,19 @@ Result<WalScan> WriteAheadLog::Scan(const std::string& path) {
   }
   scan.exists = true;
   scan.total_bytes = content->size();
-  ParsedFrames parsed = ParseFrames(*content);
-  scan.valid_bytes = parsed.valid_bytes;
-  if (!parsed.records.empty()) scan.last_lsn = parsed.records.back().lsn;
-  scan.records = std::move(parsed.records);
+  // Scan stops at the first unparsable payload too: replay needs records.
+  scan.valid_bytes = WalkFrames(
+      *content, [&](uint64_t lsn, std::string_view payload, size_t pos) {
+        auto parsed = JsonValue::Parse(std::string(payload));
+        if (!parsed.ok()) {
+          ADEPT_LOG(kWarning) << "WAL: unparsable record at offset " << pos
+                              << "; truncating";
+          return false;
+        }
+        scan.records.push_back({lsn, std::move(parsed).value()});
+        scan.last_lsn = lsn;
+        return true;
+      });
   return scan;
 }
 
@@ -285,37 +290,15 @@ Result<WalTail> WriteAheadLog::ReadTail(const std::string& path,
     return content.status();
   }
   tail.exists = true;
-  // Same frame walk as ParseFrames, but the payload stays raw bytes: the
-  // replication layer ships (and the replica re-appends) the exact frame
-  // the primary persisted, so checksums and replay see identical input.
-  uint64_t previous_lsn = 0;
-  size_t pos = 0;
-  while (pos < content->size()) {
-    size_t lsn_end = content->find(':', pos);
-    if (lsn_end == std::string::npos) break;
-    uint64_t lsn = 0;
-    if (!ParseHeaderField(*content, pos, lsn_end, &lsn) || lsn <= previous_lsn)
-      break;
-    size_t length_end = content->find(':', lsn_end + 1);
-    if (length_end == std::string::npos) break;
-    uint64_t length = 0;
-    if (!ParseHeaderField(*content, lsn_end + 1, length_end, &length) ||
-        length > kMaxPayloadBytes) {
-      break;
-    }
-    size_t payload_start = length_end + 1;
-    size_t remaining = content->size() - payload_start;
-    if (length >= remaining) break;
-    if ((*content)[payload_start + static_cast<size_t>(length)] != '\n') break;
+  // The payload stays raw bytes: the replication layer ships (and the
+  // replica re-appends) the exact frame the primary persisted, so
+  // checksums and replay see identical input.
+  WalkFrames(*content, [&](uint64_t lsn, std::string_view payload, size_t) {
     if (tail.first_lsn == 0) tail.first_lsn = lsn;
     tail.last_lsn = lsn;
-    if (lsn > after_lsn) {
-      tail.frames.push_back(
-          {lsn, content->substr(payload_start, static_cast<size_t>(length))});
-    }
-    previous_lsn = lsn;
-    pos = payload_start + static_cast<size_t>(length) + 1;
-  }
+    if (lsn > after_lsn) tail.frames.push_back({lsn, std::string(payload)});
+    return true;
+  });
   return tail;
 }
 

@@ -4,6 +4,17 @@
 
 namespace adept {
 
+namespace {
+
+// Prune()'s rule: a claim lives while its node is in the instance's schema
+// and in a live state.
+bool ClaimLive(const ProcessInstance& instance, NodeId node) {
+  return instance.schema().FindNode(node) != nullptr &&
+         ClaimLedger::IsLive(instance.node_state(node));
+}
+
+}  // namespace
+
 void ClaimLedger::Set(InstanceId instance, NodeId node, UserId user,
                       uint64_t epoch) {
   const Key key{instance.value(), node.value()};
@@ -35,11 +46,9 @@ void ClaimLedger::EraseInstance(InstanceId instance) {
 void ClaimLedger::Prune(const Engine& engine) {
   for (auto it = entries_.begin(); it != entries_.end();) {
     const ProcessInstance* instance = engine.Find(InstanceId(it->first.first));
-    const NodeId node(it->first.second);
-    const bool live = instance != nullptr &&
-                      instance->schema().FindNode(node) != nullptr &&
-                      IsLive(instance->node_state(node));
-    it = live ? std::next(it) : entries_.erase(it);
+    it = instance != nullptr && ClaimLive(*instance, NodeId(it->first.second))
+             ? std::next(it)
+             : entries_.erase(it);
   }
 }
 
@@ -85,6 +94,15 @@ void ClaimLedger::OnNodeStateChange(const ProcessInstance& instance,
                                     NodeId node, NodeState /*from*/,
                                     NodeState to) {
   if (!IsLive(to)) entries_.erase({instance.id().value(), node.value()});
+}
+
+void ClaimLedger::OnInstanceMigrated(const ProcessInstance& instance) {
+  const uint64_t id = instance.id().value();
+  for (auto it = entries_.lower_bound({id, 0});
+       it != entries_.end() && it->first.first == id;) {
+    it = ClaimLive(instance, NodeId(it->first.second)) ? std::next(it)
+                                                       : entries_.erase(it);
+  }
 }
 
 }  // namespace adept

@@ -12,8 +12,11 @@
 // A claim ends without a record of its own: the ledger observes its
 // system's instance events and drops an entry when the node leaves the
 // live states (Activated, Running, Suspended, Failed) — the same events,
-// in the same WAL order, live and on replay. Prune() covers the rewrite
-// that fires no events (a bias-cancelling migration remaps node ids).
+// in the same WAL order, live and on replay. A migration rewrites an
+// instance without one node event per node (a bias cancellation remaps
+// node ids); it announces the instance instead (OnInstanceMigrated), live
+// and on replay, and the ledger drops that instance's claims whose node
+// is gone or not live.
 //
 // WorklistService::Recover reads the ledgers back and re-attaches every
 // claim whose epoch still matches its node's.
@@ -61,7 +64,8 @@ class ClaimLedger : public InstanceObserver {
   void EraseInstance(InstanceId instance);
   // Drops every entry whose activity is no longer live in `engine`: the
   // instance is gone, its schema lost the node, or the node's state is
-  // not live.
+  // not live. Events keep the ledger pruned; SaveSnapshot runs this as a
+  // guard against a damaged or hand-edited log.
   void Prune(const Engine& engine);
 
   // One entry as JSON: {"id", "node", "user", "epoch"} — also the body of
@@ -76,6 +80,8 @@ class ClaimLedger : public InstanceObserver {
 
   void OnNodeStateChange(const ProcessInstance& instance, NodeId node,
                          NodeState from, NodeState to) override;
+  // Prune()'s rule over the migrated instance's entries.
+  void OnInstanceMigrated(const ProcessInstance& instance) override;
 
  private:
   using Key = std::pair<uint64_t, uint32_t>;  // (instance, node)

@@ -78,33 +78,38 @@ std::unique_ptr<WorklistService> WorklistService::Recover(
     const std::vector<const ClaimLedger*>& ledgers) {
   std::unique_ptr<WorklistService> service = Create(org, api, options);
   instances([&](const ProcessInstance& instance) {
-    for (const auto& [node, state] : instance.marking().node_states()) {
-      const Node* n = OfferableActivity(instance.schema(), node);
-      if (n == nullptr) continue;
-      const uint64_t epoch = ActivationEpoch(instance, node);
-      const ClaimLedger::Entry* claim = nullptr;
-      for (const ClaimLedger* ledger : ledgers) {
-        if (claim == nullptr) claim = ledger->Find(instance.id(), node);
-      }
-      // The attach filter. A claim whose run already completed carries a
-      // smaller epoch than its node's: it must not steal the offer of a
-      // later loop iteration. On an Activated node the claim survives and
-      // its owner (re)starts the run; a node in flight keeps its owner's
-      // started item; Completed/Skipped/NotActivated work is over.
-      if (claim != nullptr && claim->epoch == epoch &&
-          ClaimLedger::IsLive(state)) {
-        service->CreateItem(instance.id(), node, n->role,
-                            state == NodeState::kActivated
-                                ? WorkItemState::kClaimed
-                                : WorkItemState::kStarted,
-                            claim->user, epoch);
-      } else if (state == NodeState::kActivated) {
-        service->CreateItem(instance.id(), node, n->role,
-                            WorkItemState::kOffered, UserId::Invalid(), epoch);
-      }
-    }
+    service->DeriveItems(instance, ledgers);
   });
   return service;
+}
+
+void WorklistService::DeriveItems(
+    const ProcessInstance& instance,
+    const std::vector<const ClaimLedger*>& ledgers) {
+  for (const auto& [node, state] : instance.marking().node_states()) {
+    const Node* n = OfferableActivity(instance.schema(), node);
+    if (n == nullptr) continue;
+    const uint64_t epoch = ActivationEpoch(instance, node);
+    const ClaimLedger::Entry* claim = nullptr;
+    for (const ClaimLedger* ledger : ledgers) {
+      if (claim == nullptr) claim = ledger->Find(instance.id(), node);
+    }
+    // The attach filter. A claim whose run already completed carries a
+    // smaller epoch than its node's: it must not steal the offer of a
+    // later loop iteration. On an Activated node the claim survives and
+    // its owner (re)starts the run; a node in flight keeps its owner's
+    // started item; Completed/Skipped/NotActivated work is over.
+    if (claim != nullptr && claim->epoch == epoch &&
+        ClaimLedger::IsLive(state)) {
+      CreateItem(instance.id(), node, n->role,
+                 state == NodeState::kActivated ? WorkItemState::kClaimed
+                                                : WorkItemState::kStarted,
+                 claim->user, epoch);
+    } else if (state == NodeState::kActivated) {
+      CreateItem(instance.id(), node, n->role, WorkItemState::kOffered,
+                 UserId::Invalid(), epoch);
+    }
+  }
 }
 
 // --- Segmentation / item table -----------------------------------------------
@@ -514,53 +519,43 @@ void WorklistService::OnNodeStateChange(const ProcessInstance& instance,
   EraseItemLocked(seg, item);
 }
 
-// --- Adaptation hooks --------------------------------------------------------
-
-void WorklistService::ResyncAfterMigration(
-    const InstanceEnumerator& instances) {
-  instances([&](const ProcessInstance& instance) {
-    // Snapshot this instance's items (instance-index lock is a leaf; do
-    // not hold it while touching segments).
-    std::set<WorkItemId> ids;
-    {
-      InstanceSegment& iseg = *instance_segments_[
-          std::hash<InstanceId>()(instance.id()) & segment_mask_];
-      std::lock_guard<std::mutex> lock(iseg.mu);
-      auto found = iseg.items.find(instance.id());
-      if (found != iseg.items.end()) ids = found->second;
+void WorklistService::OnInstanceMigrated(const ProcessInstance& instance) {
+  // Snapshot this instance's items (instance-index lock is a leaf; do not
+  // hold it while touching segments).
+  std::set<WorkItemId> ids;
+  {
+    InstanceSegment& iseg = *instance_segments_[
+        std::hash<InstanceId>()(instance.id()) & segment_mask_];
+    std::lock_guard<std::mutex> lock(iseg.mu);
+    auto found = iseg.items.find(instance.id());
+    if (found != iseg.items.end()) ids = found->second;
+  }
+  for (WorkItemId id : ids) {
+    ItemSegment& seg = *item_segments_[SegmentOfItem(id)];
+    std::lock_guard<std::mutex> lock(seg.mu);
+    auto it = seg.items.find(id.value());
+    if (it == seg.items.end()) continue;
+    WorkItem& item = it->second;
+    if (item.instance != instance.id()) continue;
+    const Node* n = instance.schema().FindNode(item.node);
+    const NodeState state = n == nullptr ? NodeState::kNotActivated
+                                         : instance.node_state(item.node);
+    bool ok = state == NodeState::kActivated;
+    if (item.state != WorkItemState::kOffered) {
+      // A claim lives while its node is live: the rule the owner's ledger
+      // applies to the same announcement. A claimed item whose node is
+      // already Running was started by its owner concurrently; promote it.
+      ok = ClaimLedger::IsLive(state);
+      if (state == NodeState::kRunning) item.state = WorkItemState::kStarted;
     }
-    for (WorkItemId id : ids) {
-      ItemSegment& seg = *item_segments_[SegmentOfItem(id)];
-      std::lock_guard<std::mutex> lock(seg.mu);
-      auto it = seg.items.find(id.value());
-      if (it == seg.items.end()) continue;
-      WorkItem& item = it->second;
-      if (item.instance != instance.id()) continue;
-      const Node* n = instance.schema().FindNode(item.node);
-      const NodeState state = n == nullptr ? NodeState::kNotActivated
-                                           : instance.node_state(item.node);
-      bool ok = state == NodeState::kActivated;
-      if (item.state != WorkItemState::kOffered) {
-        // A claim lives while its node is live: the rule the owner's
-        // ledger prunes by. A claimed item whose node is already Running
-        // was started by its owner concurrently; promote it.
-        ok = ClaimLedger::IsLive(state);
-        if (state == NodeState::kRunning) item.state = WorkItemState::kStarted;
-      }
-      if (!ok) {
-        revoked_total_.fetch_add(1, std::memory_order_relaxed);
-        EraseItemLocked(seg, item);
-      }
+    if (!ok) {
+      revoked_total_.fetch_add(1, std::memory_order_relaxed);
+      EraseItemLocked(seg, item);
     }
-    // Offer Activated role activities the remap left without an item.
-    for (const auto& [node, state] : instance.marking().node_states()) {
-      if (state != NodeState::kActivated) continue;
-      const Node* n = OfferableActivity(instance.schema(), node);
-      if (n == nullptr) continue;
-      CreateItem(instance.id(), node, n->role, WorkItemState::kOffered,
-                 UserId::Invalid(), ActivationEpoch(instance, node));
-    }
-  });
+  }
+  // Offer Activated role activities the remap left without an item
+  // (CreateItem keeps a live item as it is).
+  DeriveItems(instance, {});
 }
 
 }  // namespace adept

@@ -18,7 +18,7 @@
 //           the engine event (under the owner shard's lock) flips the item
 //   Complete / Release (back to offered) / Delegate (new owner)
 //   Revoke  skip, deletion, demotion, or a migration that removed the
-//           node retracts offered *and* claimed items
+//           node (OnInstanceMigrated) retracts offered *and* claimed items
 //
 // Concurrency: the item table is internally sharded — items are hashed by
 // (instance, node) into segments with one mutex each, and the segment
@@ -104,8 +104,8 @@ struct WorklistStats {
 
 class WorklistService : public InstanceObserver {
  public:
-  // Visits live instances: all of them to derive offers, the ones a
-  // migration changed to resync (the cluster locks one shard at a time).
+  // Visits every live instance: Recover derives offers from them (the
+  // cluster locks one shard at a time).
   using InstanceVisitor = std::function<void(const ProcessInstance&)>;
   using InstanceEnumerator = std::function<void(const InstanceVisitor&)>;
 
@@ -182,21 +182,18 @@ class WorklistService : public InstanceObserver {
 
   WorklistStats Stats() const;
 
-  // --- Adaptation hooks -----------------------------------------------------
+  // --- InstanceObserver (called under the owning shard's lock) -------------
 
-  // Reconciles the worklist with engine truth after a migration fan-out:
-  // revokes offers whose node vanished from the (possibly remapped) schema
-  // or is no longer Activated, and claims whose node is no longer live
-  // (the rule the owner's ClaimLedger prunes by), and offers Activated
-  // role-carrying activities without a live item, for the instances
-  // `instances` visits: the ones the migration changed (ChangesInstance),
-  // or every instance when that is unknown. Runs per instance under that
-  // instance's shard lock, so it is exact even with concurrent traffic.
-  void ResyncAfterMigration(const InstanceEnumerator& instances);
-
-  // InstanceObserver (called under the owning shard's lock):
   void OnNodeStateChange(const ProcessInstance& instance, NodeId node,
                          NodeState from, NodeState to) override;
+  // Reconciles the migrated instance's items with engine truth: revokes
+  // offers whose node vanished from the (possibly remapped) schema or is
+  // no longer Activated, and claims whose node is no longer live (the rule
+  // the owner's ClaimLedger applies to the same call), then offers the
+  // Activated role-carrying activities without a live item. Runs under
+  // the instance's shard lock, so it is exact under concurrent traffic.
+  // The cluster's post-Resize self-check runs it over every instance.
+  void OnInstanceMigrated(const ProcessInstance& instance) override;
 
  private:
   using LiveKey = std::pair<uint64_t, uint32_t>;  // (instance, node)
@@ -236,6 +233,12 @@ class WorklistService : public InstanceObserver {
   // existing live item's id.
   WorkItemId CreateItem(InstanceId instance, NodeId node, RoleId role,
                         WorkItemState state, UserId user, uint64_t epoch);
+
+  // Creates the items `instance`'s marking calls for: a node's claim in
+  // `ledgers`, when live and current, else an offer if it is Activated.
+  // A node with a live item keeps it.
+  void DeriveItems(const ProcessInstance& instance,
+                   const std::vector<const ClaimLedger*>& ledgers);
 
   // Erases `item` from its segment and all indexes; `seg.mu` must be
   // held.

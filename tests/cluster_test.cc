@@ -430,6 +430,87 @@ TEST(AdeptClusterTest, MigrationFansOutAndMergesReports) {
   }
 }
 
+// Deploy and evolve run on every shard at once. A call every shard refuses
+// alike is the caller's error: no shard changed, nothing was logged, and
+// schema management stays usable.
+TEST(AdeptClusterTest, RefusedSchemaChangesLeaveEveryShardUnchanged) {
+  TempDir dir;
+  auto cluster = AdeptCluster::Create(DurableOptions(dir, 2));
+  ASSERT_TRUE(cluster.ok());
+  AdeptCluster& c = **cluster;
+  auto v1 = c.DeployProcessType(testing_fixtures::XorSchema());
+  ASSERT_TRUE(v1.ok()) << v1.status();
+  auto base = c.Schema(*v1);
+  ASSERT_TRUE(base.ok());
+  auto insert = [&] {
+    Delta delta;
+    NewActivitySpec spec;
+    spec.name = "audit";
+    delta.Add(std::make_unique<SerialInsertOp>(
+        spec, (*base)->FindNodeByName("triage"),
+        (*base)->FindNodeByName("xor_split")));
+    return delta;
+  };
+  auto v2 = c.EvolveProcessType(*v1, insert());
+  ASSERT_TRUE(v2.ok()) << v2.status();
+
+  // Each shard's repository size and last LSN.
+  auto state = [&] {
+    std::vector<std::pair<size_t, uint64_t>> shards;
+    for (size_t k = 0; k < c.shard_count(); ++k) {
+      shards.emplace_back(c.shard(k).repository().size(),
+                          c.shard(k).last_enqueued_lsn());
+    }
+    return shards;
+  };
+  const auto before = state();
+
+  // A mandatory read nobody writes fails verification.
+  SchemaBuilder unsupplied("unsupplied", 1);
+  const DataId data = unsupplied.Data("d", DataType::kInt);
+  unsupplied.Reads(unsupplied.Activity("reader"), data);
+  auto unverifiable = unsupplied.Build();
+  ASSERT_TRUE(unverifiable.ok()) << unverifiable.status();
+  EXPECT_EQ(c.DeployProcessType(*unverifiable).status().code(),
+            StatusCode::kVerificationFailed);
+  // The type is deployed already.
+  EXPECT_EQ(c.DeployProcessType(testing_fixtures::XorSchema()).status().code(),
+            StatusCode::kAlreadyExists);
+  // Deleting the writer of the decision element fails verification.
+  Delta unsupplying;
+  unsupplying.Add(
+      std::make_unique<DeleteActivityOp>((*base)->FindNodeByName("triage")));
+  EXPECT_EQ(c.EvolveProcessType(*v2, std::move(unsupplying)).status().code(),
+            StatusCode::kVerificationFailed);
+  // v1 is no longer the latest version.
+  EXPECT_EQ(c.EvolveProcessType(*v1, insert()).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(state(), before);
+
+  // Still usable: the next deploy gets the next id on every shard.
+  auto next = c.DeployProcessType(SequenceSchema(2));
+  ASSERT_TRUE(next.ok()) << next.status();
+  for (size_t k = 0; k < c.shard_count(); ++k) {
+    EXPECT_EQ(*c.shard(k).LatestVersion("seq"), *next);
+  }
+}
+
+// Shards that answer one schema call differently disagree for good: the
+// call fails kInternal and schema management refuses from then on.
+TEST(AdeptClusterTest, DivergentSchemaChangePoisonsSchemaManagement) {
+  auto cluster = AdeptCluster::Create({.shards = 2});
+  ASSERT_TRUE(cluster.ok());
+  AdeptCluster& c = **cluster;
+  // Shard 1 alone deploys the type, behind the cluster's back.
+  ASSERT_TRUE(c.shard(1).DeployProcessType(SequenceSchema(2)).ok());
+  EXPECT_EQ(c.DeployProcessType(SequenceSchema(2)).status().code(),
+            StatusCode::kInternal);
+  EXPECT_EQ(c.DeployProcessType(testing_fixtures::XorSchema()).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(c.EvolveProcessType(SchemaId(1), Delta()).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
 TEST(AdeptClusterTest, SingleShardDegeneratesToPlainSystem) {
   auto cluster = AdeptCluster::Create({.shards = 1});
   ASSERT_TRUE(cluster.ok());

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -137,6 +138,67 @@ TEST(AdeptSystemTest, VerificationWarningsAreRetained) {
   ASSERT_TRUE(inst_report.ok());
   EXPECT_TRUE((*inst_report)->ok());
   EXPECT_EQ((*inst_report)->warning_count(), 1u);  // duplicate names persist
+}
+
+// A warning is logged once, when it appears: an ad-hoc change logs only
+// the warnings it introduced, not the ones its instance's schema already
+// had, and neither replay nor its replayed deploy logs any.
+TEST(AdeptSystemTest, AdHocChangeLogsOnlyTheWarningsItIntroduced) {
+  TempDir dir;
+  const AdeptOptions options = DurableOptions(dir);
+  {
+    auto system = AdeptSystem::Create(options);
+    ASSERT_TRUE(system.ok());
+    AdeptSystem& adept = **system;
+    // The XOR split has no decision element: an AV006 warning of the type.
+    SchemaBuilder b("warned_xor", 1);
+    b.Activity("first");
+    b.Conditional(DataId::Invalid(),
+                  {[](SchemaBuilder& s) { s.Activity("left"); },
+                   [](SchemaBuilder& s) { s.Activity("right"); }});
+    b.Activity("last");
+    auto schema = b.Build();
+    ASSERT_TRUE(schema.ok());
+    ASSERT_TRUE(adept.DeployProcessType(*schema).ok());
+    auto report = adept.SchemaReport(*adept.LatestVersion("warned_xor"));
+    ASSERT_TRUE(report.ok());
+    ASSERT_EQ((*report)->warning_count(), 1u);
+    EXPECT_EQ((*report)->issues()[0].rule, VerifyRule::kDecision);
+    auto id = adept.CreateInstance("warned_xor");
+    ASSERT_TRUE(id.ok());
+
+    // Each change inserts `name` right before "last"; the stderr it wrote.
+    auto insert = [&](const std::string& name) {
+      const SchemaView& view = *adept.SnapshotOf(*id)->schema;
+      const NodeId last = view.FindNodeByName("last");
+      NodeId pred;
+      view.VisitInEdges(last, [&](const Edge& edge) {
+        if (edge.type == EdgeType::kControl) pred = edge.src;
+      });
+      Delta delta;
+      NewActivitySpec spec;
+      spec.name = name;
+      delta.Add(std::make_unique<SerialInsertOp>(spec, pred, last));
+      testing::internal::CaptureStderr();
+      Status st = adept.ApplyAdHocChange(*id, std::move(delta));
+      std::string logged = testing::internal::GetCapturedStderr();
+      EXPECT_TRUE(st.ok()) << st;
+      return logged;
+    };
+    EXPECT_EQ(insert("audit"), "");
+    EXPECT_EQ(insert("review"), "");
+    // A duplicate activity name is the change's own warning: one line.
+    const std::string duplicate = insert("first");
+    EXPECT_EQ(std::count(duplicate.begin(), duplicate.end(), '\n'), 1)
+        << duplicate;
+    EXPECT_NE(duplicate.find("[AV010]"), std::string::npos) << duplicate;
+    // The next change finds it already there.
+    EXPECT_EQ(insert("sign"), "");
+  }
+  testing::internal::CaptureStderr();
+  auto recovered = AdeptSystem::Recover(options);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
 }
 
 TEST(AdeptSystemTest, UnknownEntitiesRejected) {

@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <functional>
 #include <iterator>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -210,6 +212,154 @@ TEST(InstanceOpRecordTest, EveryKindLogsItsPinnedRecord) {
   EXPECT_EQ(exported->Dump(), live);
 }
 
+// start -> a -> b -> end: the type the schema, claim, org and handover
+// records are pinned on.
+SchemaPtr MoveSchema() {
+  SchemaBuilder b("pin_move", 1);
+  b.Activity("a");
+  b.Activity("b");
+  auto schema = b.Build();
+  return schema.ok() ? *schema : nullptr;
+}
+
+// Every record kind that is not an instance op, in the order a type's life
+// and a resize write them: `source` deploys, creates an instance, evolves
+// the type and migrates the instance, claims, releases and re-claims its
+// activated activity, and logs an org; `destination` takes the schema
+// history and then the instance, which `source` evicts.
+Status RunMoveScript(AdeptSystem& source, AdeptSystem& destination,
+                     InstanceId* id_out) {
+  SchemaPtr schema = MoveSchema();
+  if (schema == nullptr) return Status::Internal("move schema did not build");
+  const NodeId a = schema->FindNodeByName("a");
+  ADEPT_ASSIGN_OR_RETURN(SchemaId v1, source.DeployProcessType(schema));
+  ADEPT_ASSIGN_OR_RETURN(InstanceId id, source.CreateInstance("pin_move"));
+  *id_out = id;
+  Delta audit;
+  NewActivitySpec spec;
+  spec.name = "audit";
+  audit.Add(std::make_unique<SerialInsertOp>(spec, a,
+                                             schema->FindNodeByName("b")));
+  ADEPT_ASSIGN_OR_RETURN(SchemaId v2,
+                         source.EvolveProcessType(v1, std::move(audit)));
+  ADEPT_ASSIGN_OR_RETURN(MigrationReport report, source.Migrate(v1, v2));
+  if (report.MigratedTotal() != 1) return Status::Internal("not migrated");
+  auto ok = [] { return Status::OK(); };
+  ADEPT_RETURN_IF_ERROR(source.RecordClaim(id, a, UserId(2), 0, ok).status());
+  ADEPT_RETURN_IF_ERROR(
+      source.RecordClaim(id, a, UserId::Invalid(), 0, ok).status());
+  ADEPT_RETURN_IF_ERROR(source.RecordClaim(id, a, UserId(1), 0, ok).status());
+  OrgModel org;
+  ADEPT_ASSIGN_OR_RETURN(RoleId clerk, org.AddRole("clerk"));
+  ADEPT_ASSIGN_OR_RETURN(UserId alice, org.AddUser("alice"));
+  ADEPT_RETURN_IF_ERROR(org.AssignRole(alice, clerk));
+  ADEPT_RETURN_IF_ERROR(source.LogOrg(org));
+  ADEPT_RETURN_IF_ERROR(
+      destination.ReplicateSchemas(source.repository().ToJson()));
+  ADEPT_ASSIGN_OR_RETURN(JsonValue exported, source.ExportInstance(id));
+  ADEPT_RETURN_IF_ERROR(destination.ImportInstance(exported));
+  return source.EvictInstance(id);
+}
+
+// The WAL payloads RunMoveScript leaves on `source` and then on
+// `destination`. Recorded by running this same script against the library
+// as it was before replay called the live deploy, evolve, repo, import,
+// evict and migrate functions, in a separate checkout of that commit.
+const char* const kMoveSourceGoldens[] = {
+    R"({"id":1,"schema":{"data":[],"data_edges":[],"edges":[{"dst":1,"id":0,")"
+    R"(src":0,"type":0},{"dst":2,"id":1,"src":1,"type":0},{"dst":3,"id":2,"sr)"
+    R"(c":2,"type":0}],"format":1,"next_data_id":0,"next_edge_id":3,"next_nod)"
+    R"(e_id":4,"nodes":[{"id":0,"name":"start","type":0},{"id":1,"name":"a",")"
+    R"(type":2},{"id":2,"name":"b","type":2},{"id":3,"name":"end","type":1}],)"
+    R"("type_name":"pin_move","version":1},"t":"deploy"})",
+    R"({"id":1,"schema":1,"t":"create"})",
+    R"({"base":1,"delta":{"ops":[{"op":"serialInsert","pins":{"data":[],"edge)"
+    R"(s":[3,4],"nodes":[4]},"pred":1,"spec":{"name":"audit"},"succ":2}]},"id)"
+    R"(":2,"t":"evolve"})",
+    R"({"from":1,"t":"migrate","to":2,"use_replay":false})",
+    R"({"epoch":0,"id":1,"node":1,"t":"claim","user":2})",
+    R"({"id":1,"node":1,"t":"release"})",
+    R"({"epoch":0,"id":1,"node":1,"t":"claim","user":1})",
+    R"({"org":{"next_role":2,"next_user":2,"roles":[{"id":1,"name":"clerk"}],)"
+    R"("users":[{"id":1,"name":"alice","roles":[1]}]},"t":"org"})",
+    R"({"id":1,"t":"evict"})",
+};
+const char* const kMoveDestinationGoldens[] = {
+    R"({"repo":{"entries":[{"id":1,"schema":{"data":[],"data_edges":[],"edges)"
+    R"(":[{"dst":1,"id":0,"src":0,"type":0},{"dst":2,"id":1,"src":1,"type":0})"
+    R"(,{"dst":3,"id":2,"src":2,"type":0}],"format":1,"next_data_id":0,"next_)"
+    R"(edge_id":3,"next_node_id":4,"nodes":[{"id":0,"name":"start","type":0},)"
+    R"({"id":1,"name":"a","type":2},{"id":2,"name":"b","type":2},{"id":3,"nam)"
+    R"(e":"end","type":1}],"type_name":"pin_move","version":1}},{"delta":{"op)"
+    R"(s":[{"op":"serialInsert","pins":{"data":[],"edges":[3,4],"nodes":[4]},)"
+    R"("pred":1,"spec":{"name":"audit"},"succ":2}]},"id":2,"parent":1,"schema)"
+    R"(":{"data":[],"data_edges":[],"edges":[{"dst":1,"id":0,"src":0,"type":0)"
+    R"(},{"dst":3,"id":2,"src":2,"type":0},{"dst":4,"id":3,"src":1,"type":0},)"
+    R"({"dst":2,"id":4,"src":4,"type":0}],"format":1,"next_data_id":0,"next_e)"
+    R"(dge_id":5,"next_node_id":5,"nodes":[{"id":0,"name":"start","type":0},{)"
+    R"("id":1,"name":"a","type":2},{"id":2,"name":"b","type":2},{"id":3,"name)"
+    R"(":"end","type":1},{"id":4,"name":"audit","type":2}],"type_name":"pin_m)"
+    R"(ove","version":2}}],"next_id":3},"t":"repo"})",
+    R"({"inst":{"base":2,"claims":[{"epoch":0,"id":1,"node":1,"user":1}],"id")"
+    R"(:1,"state":{"asince":[{"n":1,"q":1}],"data":{"elements":[]},"loops":[])"
+    R"(,"marking":{"edges":[{"e":0,"s":1}],"nodes":[{"n":0,"s":3},{"n":1,"s":)"
+    R"(1}]},"started":true,"trace":{"events":[{"k":0,"q":0},{"k":10,"q":1,"t")"
+    R"(:"to version 2"}]}},"strategy":0},"t":"import"})",
+};
+
+TEST(InstanceOpRecordTest, SchemaClaimOrgAndHandoverRecordsArePinned) {
+  TempDir dir;
+  const AdeptOptions source_options = PinOptions(dir);
+  AdeptOptions destination_options;
+  destination_options.wal_path = dir.File("destination.wal");
+  InstanceId id;
+  std::string live;
+  std::string live_claims;
+  {
+    auto source = AdeptSystem::Create(source_options);
+    auto destination = AdeptSystem::Create(destination_options);
+    ASSERT_TRUE(source.ok() && destination.ok());
+    Status st = RunMoveScript(**source, **destination, &id);
+    ASSERT_TRUE(st.ok()) << st;
+    auto exported = (*destination)->ExportInstance(id);
+    ASSERT_TRUE(exported.ok()) << exported.status();
+    live = exported->Dump();
+    live_claims = (*destination)->claims().ToJson().Dump();
+  }
+  const struct {
+    const std::string& path;
+    const char* const* goldens;
+    size_t count;
+  } logs[] = {
+      {source_options.wal_path, kMoveSourceGoldens,
+       std::size(kMoveSourceGoldens)},
+      {destination_options.wal_path, kMoveDestinationGoldens,
+       std::size(kMoveDestinationGoldens)},
+  };
+  for (const auto& log : logs) {
+    const std::vector<std::string> payloads = WalPayloads(log.path);
+    ASSERT_EQ(payloads.size(), log.count) << log.path;
+    for (size_t i = 0; i < payloads.size(); ++i) {
+      EXPECT_EQ(payloads[i], log.goldens[i]) << log.path << " record " << i + 1;
+    }
+  }
+
+  // Replay runs the same calls: the source ends without the instance, with
+  // the org it logged; the destination ends with the instance and its
+  // claim.
+  auto source = AdeptSystem::Recover(source_options);
+  ASSERT_TRUE(source.ok()) << source.status();
+  EXPECT_EQ((*source)->engine().Find(id), nullptr);
+  EXPECT_EQ((*source)->claims().size(), 0u);
+  EXPECT_FALSE((*source)->logged_org().is_null());
+  auto destination = AdeptSystem::Recover(destination_options);
+  ASSERT_TRUE(destination.ok()) << destination.status();
+  auto exported = (*destination)->ExportInstance(id);
+  ASSERT_TRUE(exported.ok()) << exported.status();
+  EXPECT_EQ(exported->Dump(), live);
+  EXPECT_EQ((*destination)->claims().ToJson().Dump(), live_claims);
+}
+
 // Every pinned op record decodes into an op that encodes to the same bytes.
 TEST(InstanceOpRecordTest, DecodeThenEncodeKeepsTheBytes) {
   for (size_t i = 1; i < std::size(kPinGoldens); ++i) {
@@ -406,13 +556,227 @@ std::string ExportOf(AdeptCluster& cluster, InstanceId id) {
   return exported.ok() ? exported->Dump() : exported.status().ToString();
 }
 
+// --- Live state equals replayed state ---------------------------------------
+
+struct Staff {
+  RoleId clerk, packer;
+  UserId alice, bob, carol;
+};
+
+// Populating in the same order gives the same ids, so a recovered system
+// that logged no org gets the live one back.
+Staff PopulateOrg(OrgModel& org) {
+  Staff staff;
+  staff.clerk = *org.AddRole("clerk");
+  staff.packer = *org.AddRole("packer");
+  staff.alice = *org.AddUser("alice");
+  staff.bob = *org.AddUser("bob");
+  staff.carol = *org.AddUser("carol");
+  (void)org.AssignRole(staff.alice, staff.clerk);
+  (void)org.AssignRole(staff.bob, staff.packer);
+  (void)org.AssignRole(staff.carol, staff.clerk);
+  return staff;
+}
+
+// Every user's offers and assignments. Item ids are left out: recovery
+// numbers the items afresh.
+std::string Listing(const WorklistService& worklist, const Staff& staff) {
+  auto render = [](const std::vector<WorkItem>& items) {
+    std::vector<std::string> lines;
+    for (const WorkItem& item : items) {
+      lines.push_back(std::to_string(item.instance.value()) + "/" +
+                      std::to_string(item.node.value()) + " " +
+                      WorkItemStateToString(item.state) + " by " +
+                      std::to_string(item.claimed_by.value()) + " epoch " +
+                      std::to_string(item.epoch));
+    }
+    std::sort(lines.begin(), lines.end());
+    std::string joined;
+    for (const std::string& line : lines) joined += line + "\n";
+    return joined;
+  };
+  std::string listing;
+  for (UserId user : {staff.alice, staff.bob, staff.carol}) {
+    listing += "user " + std::to_string(user.value()) + " offers\n" +
+               render(worklist.OffersFor(user)) + "assigned\n" +
+               render(worklist.AssignedTo(user));
+  }
+  return listing;
+}
+
+// Five instances of start -> a(clerk) -> b(clerk) -> d(packer) -> end meet
+// two migrations. The first cancels the biases of instances 0 and 1, which
+// inserted "x" ad hoc: the remap strands alice's claim on instance 0's "x"
+// and the offer of instance 1's. Instance 2 is past "b" and stays behind
+// with bob's claim on "d"; carol's started "a" on instance 3 migrates with
+// it. The second migration puts "check" in front of "x", demoting the "x"
+// alice claimed anew (state adaptation).
+std::vector<InstanceId> RunMigrationScenario(AdeptApi& api,
+                                             WorklistService& worklist,
+                                             const Staff& staff) {
+  SchemaBuilder builder("diff_proc", 1);
+  const NodeId a = builder.Activity("a", {.role = staff.clerk});
+  const NodeId b = builder.Activity("b", {.role = staff.clerk});
+  builder.Activity("d", {.role = staff.packer});
+  auto schema = builder.Build();
+  EXPECT_TRUE(schema.ok());
+  auto v1 = api.DeployProcessType(*schema);
+  EXPECT_TRUE(v1.ok()) << v1.status();
+  auto insert = [](const char* name, RoleId role, NodeId pred, NodeId succ) {
+    Delta delta;
+    NewActivitySpec spec;
+    spec.name = name;
+    spec.role = role;
+    delta.Add(std::make_unique<SerialInsertOp>(spec, pred, succ));
+    return delta;
+  };
+  auto run = [&](InstanceId id, NodeId node) {
+    EXPECT_TRUE(api.StartActivity(id, node).ok());
+    EXPECT_TRUE(api.CompleteActivity(id, node).ok());
+  };
+  auto claim = [&](UserId user, InstanceId id) {
+    for (const WorkItem& item : worklist.OffersFor(user)) {
+      if (item.instance == id) return worklist.Claim(item.id, user);
+    }
+    return Status::NotFound("no offer");
+  };
+  std::vector<InstanceId> ids;
+  for (int i = 0; i < 5; ++i) ids.push_back(*api.CreateInstance("diff_proc"));
+  for (int i = 0; i < 2; ++i) {
+    run(ids[i], a);
+    EXPECT_TRUE(
+        api.ApplyAdHocChange(ids[i], insert("x", staff.clerk, a, b)).ok());
+  }
+  run(ids[2], a);
+  run(ids[2], b);
+  EXPECT_TRUE(claim(staff.alice, ids[0]).ok());
+  EXPECT_TRUE(claim(staff.bob, ids[2]).ok());
+  EXPECT_TRUE(claim(staff.carol, ids[3]).ok());
+  for (const WorkItem& item : worklist.AssignedTo(staff.carol)) {
+    EXPECT_TRUE(worklist.Start(item.id, staff.carol).ok());
+  }
+
+  auto v2 = api.EvolveProcessType(*v1, insert("x", staff.clerk, a, b));
+  EXPECT_TRUE(v2.ok()) << v2.status();
+  auto first = api.MigrateToLatest("diff_proc");
+  EXPECT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->Count(MigrationOutcome::kBiasCancelled), 2u);
+  EXPECT_EQ(first->Count(MigrationOutcome::kStateConflict), 1u);
+  EXPECT_EQ(first->Count(MigrationOutcome::kMigrated), 2u);
+  EXPECT_TRUE(claim(staff.alice, ids[0]).ok());
+
+  const NodeId x = (*api.Schema(*v2))->FindNodeByName("x");
+  auto v3 = api.EvolveProcessType(*v2, insert("check", staff.packer, a, x));
+  EXPECT_TRUE(v3.ok()) << v3.status();
+  auto second = api.Migrate(*v2, *v3);
+  EXPECT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(second->Count(MigrationOutcome::kMigrated), 4u);
+  return ids;
+}
+
+// What the differential compares: every instance's export, the claims of
+// each ledger, and the worklist listing.
+struct SystemState {
+  std::vector<std::string> exports;
+  std::vector<std::string> claims;
+  std::string listing;
+
+  bool operator==(const SystemState& other) const {
+    return exports == other.exports && claims == other.claims &&
+           listing == other.listing;
+  }
+};
+
+std::ostream& operator<<(std::ostream& out, const SystemState& state) {
+  for (const std::string& exported : state.exports) out << exported << "\n";
+  for (const std::string& claims : state.claims) out << claims << "\n";
+  return out << state.listing;
+}
+
+SystemState StateOf(AdeptSystem& system, const std::vector<InstanceId>& ids,
+                    const Staff& staff) {
+  SystemState state;
+  for (InstanceId id : ids) {
+    auto exported = system.ExportInstance(id);
+    state.exports.push_back(exported.ok() ? exported->Dump()
+                                          : exported.status().ToString());
+  }
+  state.claims.push_back(system.claims().ToJson().Dump());
+  state.listing = Listing(system.worklists(), staff);
+  return state;
+}
+
+SystemState StateOf(AdeptCluster& cluster, const std::vector<InstanceId>& ids,
+                    const Staff& staff) {
+  SystemState state;
+  for (InstanceId id : ids) state.exports.push_back(ExportOf(cluster, id));
+  for (size_t k = 0; k < cluster.shard_count(); ++k) {
+    state.claims.push_back(cluster.shard(k).claims().ToJson().Dump());
+  }
+  state.listing = Listing(cluster.Worklist(), staff);
+  return state;
+}
+
+// The ledgers hold bob's claim on instance 2 and carol's on instance 3:
+// the claim the remap stranded and the one the demotion ended are gone.
+// (A migration also ends a claim on an activity it leaves Activated: the
+// marking re-evaluation demotes and re-activates it.)
+size_t LedgerEntries(const SystemState& state) {
+  size_t entries = 0;
+  for (const std::string& claims : state.claims) {
+    entries += JsonValue::Parse(claims)->as_array().size();
+  }
+  return entries;
+}
+
+TEST(LiveVersusReplayTest, StandaloneMigrationsReplayToTheLiveState) {
+  TempDir dir;
+  const AdeptOptions options = PinOptions(dir);
+  std::vector<InstanceId> ids;
+  SystemState live;
+  {
+    auto system = AdeptSystem::Create(options);
+    ASSERT_TRUE(system.ok()) << system.status();
+    const Staff staff = PopulateOrg((*system)->org());
+    ids = RunMigrationScenario(**system, (*system)->worklists(), staff);
+    live = StateOf(**system, ids, staff);
+  }
+  EXPECT_EQ(LedgerEntries(live), 2u) << live;
+  auto recovered = AdeptSystem::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  const Staff staff = PopulateOrg((*recovered)->org());
+  EXPECT_EQ(StateOf(**recovered, ids, staff), live);
+}
+
+TEST(LiveVersusReplayTest, ClusterMigrationsReplayToTheLiveState) {
+  TempDir dir;
+  const ClusterOptions options = TwoShards(dir, "diff");
+  std::vector<InstanceId> ids;
+  SystemState live;
+  {
+    auto cluster = AdeptCluster::Create(options);
+    ASSERT_TRUE(cluster.ok()) << cluster.status();
+    const Staff staff = PopulateOrg((*cluster)->org());
+    ids = RunMigrationScenario(**cluster, (*cluster)->Worklist(), staff);
+    live = StateOf(**cluster, ids, staff);
+  }
+  EXPECT_EQ(LedgerEntries(live), 2u) << live;
+  auto recovered = AdeptCluster::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  const Staff staff = PopulateOrg((*recovered)->org());
+  EXPECT_EQ(StateOf(**recovered, ids, staff), live);
+}
+
 // Two durable 2-shard clusters get the same seeded op mix: `named` through
 // the named AdeptApi calls one op at a time, `batched` through SubmitBatch
 // in groups of random size. Every op must report the same status and id on
 // both, every instance must export the same state after every group, the
 // shard WALs must end byte-equal, and recovering either cluster must
-// reproduce the exports. (Drive steps are left out: named and batched
-// steps draw from different drivers; the record pin covers them.)
+// reproduce the exports. Halfway both checkpoint, evolve the type and
+// migrate to it, so the parallel shard fan-out runs a deploy, an evolution
+// and a migration, and recovery starts from a snapshot. (Drive steps are
+// left out: named and batched steps draw from different drivers; the
+// record pin covers them.)
 TEST(InstanceOpAgreementTest, NamedCallsBatchesAndReplayAgree) {
   std::map<InstanceOp::Kind, int> applied;  // ops that succeeded, by kind
   for (uint64_t seed = 1; seed <= 4; ++seed) {
@@ -431,7 +795,29 @@ TEST(InstanceOpAgreementTest, NamedCallsBatchesAndReplayAgree) {
       ASSERT_TRUE((*batched)->DeployProcessType(PinSchema()).ok());
       int inserted = 0;
       size_t failed = 0;
+      bool evolved = false;
       for (int done = 0; done < 160;) {
+        if (!evolved && done >= 80) {
+          evolved = true;
+          std::vector<size_t> migrated;
+          for (AdeptCluster* cluster : {named->get(), batched->get()}) {
+            ASSERT_TRUE(cluster->SaveSnapshot().ok());
+            auto v1 = cluster->LatestVersion("pin_ops");
+            ASSERT_TRUE(v1.ok());
+            SchemaPtr base = *cluster->Schema(*v1);
+            Delta audit;
+            NewActivitySpec spec;
+            spec.name = "audit";
+            audit.Add(std::make_unique<SerialInsertOp>(
+                spec, base->FindNodeByName("writer"),
+                base->FindNodeByName("xor_split")));
+            ASSERT_TRUE(cluster->EvolveProcessType(*v1, std::move(audit)).ok());
+            auto report = cluster->MigrateToLatest("pin_ops");
+            ASSERT_TRUE(report.ok()) << report.status();
+            migrated.push_back(report->MigratedTotal());
+          }
+          EXPECT_EQ(migrated[0], migrated[1]);
+        }
         const size_t group = 1 + rng.NextIndex(6);
         std::vector<InstanceOp> batch;
         std::vector<OpResult> expected;

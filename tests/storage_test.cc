@@ -844,6 +844,52 @@ TEST(WalTest, NonMonotonicLsnEndsScan) {
   std::remove(path.c_str());
 }
 
+// Scan (replay) and ReadTail (replication) walk frames with one walker, so
+// on a damaged log they agree on the first and last LSN and on the frame
+// count. The one difference is Scan's own: it stops at an unparsable
+// payload, which ReadTail ships as raw bytes.
+TEST(WalTest, ScanAndReadTailAgreeOnDamagedLogs) {
+  const std::string path = TempPath("adept_wal_walker.log");
+  const std::string good = "1:7:{\"k\":1}\n2:7:{\"k\":2}\n";
+  // Every log numbers its frames 1, 2, ..., so a reader's last LSN is its
+  // frame count.
+  const struct {
+    const char* name;
+    std::string content;
+    size_t scanned;  // Scan's records
+    size_t tailed;   // ReadTail's frames
+  } logs[] = {
+      {"intact", good + "3:7:{\"k\":3}\n", 3, 3},
+      {"truncated header", good + "3:7", 2, 2},
+      {"forged length", good + "3:99999999999999999999:{}\n", 2, 2},
+      {"missing terminator", good + "3:7:{\"k\":3}X4:2:{}\n", 2, 2},
+      {"non-monotonic LSN", good + "2:7:{\"k\":3}\n", 2, 2},
+      {"truncated payload", good + "3:7:{\"k\"", 2, 2},
+      {"unparsable payload", good + "3:3:{{{\n4:7:{\"k\":4}\n", 2, 4},
+  };
+  for (const auto& log : logs) {
+    SCOPED_TRACE(log.name);
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs(log.content.c_str(), f);
+    std::fclose(f);
+    auto scan = WriteAheadLog::Scan(path);
+    auto tail = WriteAheadLog::ReadTail(path, 0);
+    ASSERT_TRUE(scan.ok() && tail.ok());
+    ASSERT_EQ(scan->records.size(), log.scanned);
+    ASSERT_EQ(tail->frames.size(), log.tailed);
+    EXPECT_EQ(scan->records.front().lsn, 1u);
+    EXPECT_EQ(tail->first_lsn, 1u);
+    EXPECT_EQ(scan->last_lsn, log.scanned);
+    EXPECT_EQ(tail->last_lsn, log.tailed);
+    for (size_t i = 0; i < log.scanned; ++i) {
+      EXPECT_EQ(scan->records[i].lsn, tail->frames[i].lsn);
+      EXPECT_EQ(scan->records[i].value.Dump(), tail->frames[i].payload);
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST(WalTest, DamagedTailIsRepairedOnOpen) {
   std::string path = TempPath("adept_wal_repair.log");
   std::remove(path.c_str());
