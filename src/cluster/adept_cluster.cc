@@ -670,13 +670,15 @@ Status AdeptCluster::SaveSnapshot() {
 }
 
 Status AdeptCluster::SaveSnapshotLocked() {
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mu);
-    // The org rides the shard's stream like a schema fan-out record, so
-    // the checkpoint covers it and standbys receive it.
-    ADEPT_RETURN_IF_ERROR(shard.system->LogOrg(org_));
-    ADEPT_RETURN_IF_ERROR(shard.system->SaveSnapshot());
+  // The org rides each shard's stream like a schema fan-out record, so the
+  // checkpoint covers it and standbys receive it.
+  const std::vector<Status> statuses =
+      FanOut([this](size_t, AdeptSystem& system) {
+        ADEPT_RETURN_IF_ERROR(system.LogOrg(org_));
+        return system.SaveSnapshot();
+      });
+  for (const Status& status : statuses) {
+    ADEPT_RETURN_IF_ERROR(status);
   }
   return Status::OK();
 }

@@ -447,10 +447,9 @@ class AdeptCluster : public AdeptApi {
   bool ReplicationDegraded() const;
 
   // Body of SaveSnapshot() with schema_mu_ already held (Resize
-  // checkpoints while holding it): logs the org into every shard, then
-  // checkpoints the shard. One shard at a time, not through FanOut: a
-  // checkpoint materializes its shard's whole state, so checkpointing the
-  // shards at once multiplies the transient memory by the shard count.
+  // checkpoints while holding it): through FanOut, every shard logs the
+  // org and checkpoints at once. A checkpoint holds about its file's
+  // bytes, so the shards' checkpoints can run side by side.
   Status SaveSnapshotLocked();
   size_t NextCreationShard() {
     return static_cast<size_t>(rr_.fetch_add(1, std::memory_order_relaxed) %

@@ -4,6 +4,7 @@
 #include <filesystem>
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <fcntl.h>
 #include <unistd.h>
 #endif
 
@@ -39,6 +40,20 @@ Status WriteFileAtomic(const std::string& path, const std::string& content) {
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   if (ec) return Status::Corruption("rename failed: " + ec.message());
+#if defined(__unix__) || defined(__APPLE__)
+  // The rename is durable only once its directory is. A checkpoint
+  // truncates the WAL right after this returns, so a power loss that kept
+  // the truncation but lost the rename would recover the old snapshot
+  // without the records that the new one covered.
+  const std::string dir = std::filesystem::path(path).parent_path().string();
+  const int fd = open(dir.empty() ? "." : dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return Status::Corruption("cannot open the directory of " + path);
+  const bool synced = fsync(fd) == 0;
+  close(fd);
+  if (!synced) {
+    return Status::Corruption("cannot sync the directory of " + path);
+  }
+#endif
   return Status::OK();
 }
 

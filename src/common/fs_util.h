@@ -14,7 +14,9 @@ namespace adept {
 Result<std::string> ReadFileToString(const std::string& path);
 
 // Writes `content` to "<path>.tmp" and atomically renames it over `path`,
-// so readers observe either the old or the new file, never a torn one.
+// so readers observe either the old or the new file, never a torn one. On
+// POSIX the data and then the directory are synced, so the new file is
+// durable when this returns.
 Status WriteFileAtomic(const std::string& path, const std::string& content);
 
 }  // namespace adept

@@ -497,46 +497,6 @@ Status AdeptSystem::AdoptInstanceFromJson(const JsonValue& ij) {
   return Status::OK();
 }
 
-JsonValue AdeptSystem::SnapshotToJson(uint64_t wal_lsn) const {
-  JsonValue j = JsonValue::MakeObject();
-  j.Set("format", JsonValue(1));
-  // Every WAL record with an LSN <= wal_lsn is folded into this snapshot;
-  // recovery must not replay them again.
-  j.Set("wal_lsn", JsonValue(wal_lsn));
-  j.Set("repo", repository_.ToJson());
-  JsonValue instances = JsonValue::MakeArray();
-  // Unchanged instances reuse the serialization the previous checkpoint
-  // produced: the published snapshot version is the change fingerprint
-  // (every facade mutation republishes before logging), so a long-running
-  // system full of idle instances checkpoints in O(changed), not O(all).
-  std::unordered_map<uint64_t, CachedInstanceJson> next_cache;
-  for (InstanceId id : store_.Ids()) {
-    std::shared_ptr<const InstanceSnapshot> published = snapshots_.Get(id);
-    if (published != nullptr) {
-      auto cached = checkpoint_cache_.find(id.value());
-      if (cached != checkpoint_cache_.end() &&
-          cached->second.version == published->version) {
-        instances.Append(JsonValue(cached->second.json));
-        next_cache.emplace(id.value(), std::move(cached->second));
-        continue;
-      }
-    }
-    auto ij = InstanceToJson(id);
-    if (!ij.ok()) continue;
-    if (published != nullptr) {
-      next_cache.emplace(id.value(),
-                         CachedInstanceJson{published->version, *ij});
-    }
-    instances.Append(std::move(*ij));
-  }
-  // Swapping (not merging) also drops entries of evicted instances.
-  checkpoint_cache_ = std::move(next_cache);
-  j.Set("instances", std::move(instances));
-  j.Set("claims", claims_.ToJson());
-  if (!logged_org_.is_null()) j.Set("org", logged_org_);
-  return j;
-}
-
 Status AdeptSystem::LoadSnapshotJson(const JsonValue& json,
                                      uint64_t* wal_lsn) {
   if (json.Get("format").as_int() != 1) {
@@ -607,8 +567,43 @@ Status AdeptSystem::SaveSnapshot() {
   // leaves others in the ledger.
   const uint64_t cover = wal_ != nullptr ? wal_->last_enqueued_lsn() : 0;
   claims_.Prune(engine_);
-  ADEPT_RETURN_IF_ERROR(
-      WriteFileAtomic(options_.snapshot_path, SnapshotToJson(cover).Dump()));
+  // The file holds the bytes Dump() would write for one snapshot object,
+  // key by key in Dump()'s sorted order, so they do not depend on where an
+  // instance's text came from. An instance whose published version is
+  // unchanged since the previous checkpoint reuses that checkpoint's text
+  // (every facade mutation republishes before logging): a checkpoint
+  // serializes only what changed and holds no tree of the whole state.
+  std::string file = "{\"claims\":" + claims_.ToJson().Dump() +
+                     ",\"format\":1,\"instances\":[";
+  std::unordered_map<uint64_t, CachedInstanceText> next_cache;
+  for (InstanceId id : store_.Ids()) {
+    std::shared_ptr<const InstanceSnapshot> published = snapshots_.Get(id);
+    auto cached = checkpoint_cache_.find(id.value());
+    std::string text;
+    if (published != nullptr && cached != checkpoint_cache_.end() &&
+        cached->second.version == published->version) {
+      text = std::move(cached->second.text);
+    } else {
+      auto ij = InstanceToJson(id);
+      if (!ij.ok()) continue;
+      text = ij->Dump();
+    }
+    if (file.back() != '[') file += ',';
+    file += text;
+    if (published != nullptr) {
+      next_cache.emplace(id.value(), CachedInstanceText{published->version,
+                                                        std::move(text)});
+    }
+  }
+  // Swapping (not merging) also drops entries of evicted instances.
+  checkpoint_cache_ = std::move(next_cache);
+  file += ']';
+  if (!logged_org_.is_null()) file += ",\"org\":" + logged_org_.Dump();
+  // Every WAL record with an LSN <= cover is folded into this snapshot;
+  // recovery must not replay them again.
+  file += ",\"repo\":" + repository_.ToJson().Dump() +
+          ",\"wal_lsn\":" + std::to_string(cover) + "}";
+  ADEPT_RETURN_IF_ERROR(WriteFileAtomic(options_.snapshot_path, file));
   if (wal_ != nullptr) {
     // If this truncation fails, the stale records stay in the log but carry
     // LSNs <= cover, so recovery skips them: no double-apply.

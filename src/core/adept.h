@@ -297,7 +297,6 @@ class AdeptSystem : public AdeptApi {
   // export/import handover: id, base schema ref, strategy, bias, state.
   Result<JsonValue> InstanceToJson(InstanceId id) const;
   Status AdoptInstanceFromJson(const JsonValue& ij);
-  JsonValue SnapshotToJson(uint64_t wal_lsn) const;
   Status LoadSnapshotJson(const JsonValue& json, uint64_t* wal_lsn);
   // Publishes `id`'s current state into the snapshot table (erases when
   // the instance is gone) and applies the publication delta to the query
@@ -325,17 +324,18 @@ class AdeptSystem : public AdeptApi {
   uint64_t last_enqueued_lsn_ = 0;
   bool recovering_ = false;
 
-  // Checkpoint serialization cache: the instance JSON written by the last
-  // SaveSnapshot, keyed by instance id and fingerprinted by the published
-  // snapshot version (every facade mutation republishes, so an unchanged
-  // version means unchanged state — the same contract SnapshotOf serves
-  // readers under; direct substrate mutation bypasses both). In-memory
-  // only: a recovered system starts cold and re-serializes once.
-  struct CachedInstanceJson {
+  // Checkpoint serialization cache: the text of each instance the last
+  // SaveSnapshot wrote, keyed by instance id and fingerprinted by the
+  // published snapshot version (every facade mutation republishes, so an
+  // unchanged version means unchanged state — the same contract SnapshotOf
+  // serves readers under; direct substrate mutation bypasses both). Text,
+  // not a JsonValue tree, so the cache costs about the bytes of the file.
+  // In-memory only: a recovered system starts cold and re-serializes once.
+  struct CachedInstanceText {
     uint64_t version = 0;
-    JsonValue json;
+    std::string text;
   };
-  mutable std::unordered_map<uint64_t, CachedInstanceJson> checkpoint_cache_;
+  std::unordered_map<uint64_t, CachedInstanceText> checkpoint_cache_;
   mutable uint64_t full_state_serializations_ = 0;
 };
 

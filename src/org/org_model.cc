@@ -1,5 +1,7 @@
 #include "org/org_model.h"
 
+#include <algorithm>
+
 namespace adept {
 
 Result<RoleId> OrgModel::AddRole(const std::string& name) {
@@ -86,20 +88,32 @@ Result<UserId> OrgModel::FindUser(const std::string& name) const {
 }
 
 JsonValue OrgModel::ToJson() const {
+  // Roles, users and assignments in id order: the hash tables' order
+  // depends on their insertion history, which a reload does not repeat,
+  // and a recovered org must write the bytes the live one did.
+  std::vector<RoleId> role_ids;
+  for (const auto& [id, name] : roles_) role_ids.push_back(id);
+  std::sort(role_ids.begin(), role_ids.end());
   JsonValue roles = JsonValue::MakeArray();
-  for (const auto& [id, name] : roles_) {
+  for (RoleId id : role_ids) {
     JsonValue rj = JsonValue::MakeObject();
     rj.Set("id", JsonValue(id.value()));
-    rj.Set("name", JsonValue(name));
+    rj.Set("name", JsonValue(roles_.at(id)));
     roles.Append(std::move(rj));
   }
+  std::vector<UserId> user_ids;
+  for (const auto& [id, user] : users_) user_ids.push_back(id);
+  std::sort(user_ids.begin(), user_ids.end());
   JsonValue users = JsonValue::MakeArray();
-  for (const auto& [id, user] : users_) {
+  for (UserId id : user_ids) {
+    const User& user = users_.at(id);
     JsonValue uj = JsonValue::MakeObject();
     uj.Set("id", JsonValue(id.value()));
     uj.Set("name", JsonValue(user.name));
+    std::vector<RoleId> held(user.roles.begin(), user.roles.end());
+    std::sort(held.begin(), held.end());
     JsonValue assigned = JsonValue::MakeArray();
-    for (RoleId role : user.roles) assigned.Append(JsonValue(role.value()));
+    for (RoleId role : held) assigned.Append(JsonValue(role.value()));
     uj.Set("roles", std::move(assigned));
     users.Append(std::move(uj));
   }

@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "change/change_op.h"
 #include "cluster/adept_cluster.h"
+#include "model/schema_builder.h"
 #include "tests/test_fixtures.h"
 
 namespace adept {
@@ -361,6 +364,112 @@ TEST(AdeptClusterTest, RecoverRestoresAllShards) {
     auto fresh = (*recovered)->CreateInstance("seq");
     ASSERT_TRUE(fresh.ok());
     EXPECT_EQ(std::count(ids.begin(), ids.end(), *fresh), 0);
+  }
+}
+
+// Checkpoints race routed writes: one thread creates instances, one
+// claims, starts and completes their first activity through the worklist,
+// and one drives the rest in steps, while this thread checkpoints every
+// shard at once, twenty times. Recovery holds every acked create and every
+// acked completion, and each instance once.
+TEST(AdeptClusterTest, CheckpointsRacingWritesKeepEveryAckedWrite) {
+  TempDir dir;
+  const ClusterOptions options = DurableOptions(dir, 2);
+  std::vector<InstanceId> created;
+  std::vector<InstanceId> completed;
+  NodeId triage;
+  {
+    auto cluster = AdeptCluster::Create(options);
+    ASSERT_TRUE(cluster.ok());
+    AdeptCluster& c = **cluster;
+    const RoleId clerk = *c.org().AddRole("clerk");
+    const UserId alice = *c.org().AddUser("alice");
+    ASSERT_TRUE(c.org().AssignRole(alice, clerk).ok());
+    SchemaBuilder b("race", 1);
+    triage = b.Activity("triage", {.role = clerk});
+    b.Activity("treat");
+    b.Activity("close");
+    auto schema = b.Build();
+    ASSERT_TRUE(schema.ok());
+    ASSERT_TRUE(c.DeployProcessType(*schema).ok());
+    WorklistService& worklist = c.Worklist();
+
+    std::mutex mu;  // guards created and completed
+    std::atomic<bool> stop{false};
+    std::atomic<int> failures{0};
+    std::thread creator([&] {
+      while (!stop.load()) {
+        auto id = c.CreateInstance("race");
+        if (!id.ok()) {
+          ++failures;
+          continue;
+        }
+        std::lock_guard<std::mutex> lock(mu);
+        created.push_back(*id);
+      }
+    });
+    std::thread claimer([&] {
+      while (!stop.load()) {
+        std::vector<WorkItem> offers = worklist.OffersFor(alice);
+        if (offers.empty()) {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+        for (const WorkItem& offer : offers) {
+          if (!worklist.Claim(offer.id, alice).ok() ||
+              !worklist.Start(offer.id, alice).ok() ||
+              !worklist.Complete(offer.id, alice).ok()) {
+            ++failures;
+            continue;
+          }
+          std::lock_guard<std::mutex> lock(mu);
+          completed.push_back(offer.instance);
+        }
+      }
+    });
+    std::thread stepper([&] {
+      for (size_t next = 0; !stop.load(); ++next) {
+        InstanceId id;
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          if (!completed.empty()) id = completed[next % completed.size()];
+        }
+        const OpResult step =
+            id.valid() ? c.Apply(InstanceOp::DriveStep(id)) : OpResult{};
+        if (!step.status.ok()) ++failures;
+        if (!step.progressed) {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+      }
+    });
+    int checkpoints = 0;
+    for (int i = 0; i < 20; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      Status saved = c.SaveSnapshot();
+      EXPECT_TRUE(saved.ok()) << saved;
+      checkpoints += saved.ok();
+    }
+    stop.store(true);
+    for (std::thread* t : {&creator, &claimer, &stepper}) t->join();
+    EXPECT_EQ(checkpoints, 20);
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_FALSE(created.empty());
+    EXPECT_FALSE(completed.empty());
+  }
+
+  auto recovered = AdeptCluster::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  std::multiset<InstanceId> ids;
+  (*recovered)->ForEachSnapshot(
+      [&](const InstanceSnapshot& snapshot) { ids.insert(snapshot.id); });
+  EXPECT_EQ(ids.size(), created.size());
+  for (InstanceId id : created) {
+    EXPECT_EQ(ids.count(id), 1u) << "instance " << id;
+  }
+  for (InstanceId id : completed) {
+    auto snapshot = (*recovered)->SnapshotOf(id);
+    ASSERT_NE(snapshot, nullptr) << "instance " << id;
+    EXPECT_EQ(snapshot->marking.node(triage), NodeState::kCompleted)
+        << "instance " << id;
   }
 }
 
