@@ -77,7 +77,9 @@ void BM_LazyVsEager(benchmark::State& state) {
       // Deferred: instances migrate one by one on next access.
       const Delta* delta = *pop->repo.DeltaFor(v2);
       for (InstanceId id : pop->ids) {
-        auto r = pop->manager->MigrateOne(id, pop->v1_id, v2, *delta, {});
+        TraceNotePool notes;  // one migration per access: nothing shared
+        auto r =
+            pop->manager->MigrateOne(id, pop->v1_id, v2, *delta, {}, notes);
         benchmark::DoNotOptimize(r);
       }
     } else {

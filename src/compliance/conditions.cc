@@ -105,25 +105,6 @@ ConditionResult NotStartedCondition(const ProcessInstance& instance,
       NodeStateToString(*state)));
 }
 
-// Sequence of the event that resolved `node` (completion or skip), -1 if
-// unresolved. Scans backwards, respecting loop resets like LastStartSeq.
-int64_t ResolutionSeq(const ProcessInstance& instance, NodeId node) {
-  const auto& events = instance.trace().events();
-  for (auto it = events.rbegin(); it != events.rend(); ++it) {
-    if (it->kind == TraceEventKind::kLoopReset) {
-      for (NodeId n : it->reset_nodes()) {
-        if (n == node) return -1;
-      }
-    }
-    if (it->node == node &&
-        (it->kind == TraceEventKind::kActivityCompleted ||
-         it->kind == TraceEventKind::kActivitySkipped)) {
-      return it->sequence;
-    }
-  }
-  return -1;
-}
-
 }  // namespace
 
 ConditionContext ConditionContext::ForDelta(const Delta& delta) {
@@ -201,7 +182,7 @@ ConditionResult CheckOpStateCondition(const ProcessInstance& instance,
       NodeId from = ctx.Resolve(sync.from());
       NodeId to = ctx.Resolve(sync.to());
       int64_t started = instance.trace().LastStartSeq(to);
-      int64_t resolved = ResolutionSeq(instance, from);
+      int64_t resolved = instance.trace().LastResolutionSeq(from);
       if (resolved >= 0 && started >= 0 && resolved < started) {
         return ConditionResult::Ok();
       }

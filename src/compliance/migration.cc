@@ -36,18 +36,8 @@ void RemapInstanceState(ProcessInstance& instance, const IdMapping& mapping) {
     marking.set_edge(map_edge(edge), state);
   }
 
-  std::vector<TraceEvent> events = instance.trace().events();
-  for (TraceEvent& e : events) {
-    if (e.node.valid()) e.node = map_node(e.node);
-    if (e.data.valid()) e.data = map_data(e.data);
-    if (!e.reset_nodes().empty()) {
-      std::vector<NodeId> reset = e.reset_nodes();
-      for (NodeId& n : reset) n = map_node(n);
-      e.payload = TracePayload(std::move(reset), e.detail());
-    }
-  }
-  ExecutionTrace trace;
-  trace.Restore(std::move(events));
+  ExecutionTrace trace =
+      instance.trace().Remapped(mapping.nodes, mapping.data);
 
   DataContext data;
   instance.data().ForEachElement(
@@ -189,8 +179,10 @@ Result<MigrationReport> MigrationManager::MigrateAll(
   report.from_version = from_schema->version();
   report.to_version = to_schema->version();
 
+  // One note per outcome text, shared by every instance this call migrates.
+  TraceNotePool notes;
   for (InstanceId id : store_->IdsOnBase(from)) {
-    auto result = MigrateOne(id, from, to, *type_change, options);
+    auto result = MigrateOne(id, from, to, *type_change, options, notes);
     if (result.ok()) {
       report.results.push_back(std::move(result).value());
     } else {
@@ -203,7 +195,7 @@ Result<MigrationReport> MigrationManager::MigrateAll(
 
 Result<InstanceMigrationResult> MigrationManager::MigrateOne(
     InstanceId id, SchemaId from, SchemaId to, const Delta& type_change,
-    const MigrationOptions& options) {
+    const MigrationOptions& options, TraceNotePool& notes) {
   ProcessInstance* instance = engine_->Find(id);
   if (instance == nullptr) return Status::NotFound("instance not registered");
   ADEPT_ASSIGN_OR_RETURN(const InstanceStore::Record* record, store_->Get(id));
@@ -216,14 +208,14 @@ Result<InstanceMigrationResult> MigrationManager::MigrateOne(
                                    record->biased(), ""};
   }
   if (record->biased()) {
-    return MigrateBiased(*instance, *record, to, type_change, options);
+    return MigrateBiased(*instance, *record, to, type_change, options, notes);
   }
-  return MigrateUnbiased(*instance, to, type_change, options);
+  return MigrateUnbiased(*instance, to, type_change, options, notes);
 }
 
 Result<InstanceMigrationResult> MigrationManager::MigrateUnbiased(
     ProcessInstance& instance, SchemaId to, const Delta& type_change,
-    const MigrationOptions& options) {
+    const MigrationOptions& options, TraceNotePool& notes) {
   InstanceMigrationResult result{instance.id(), MigrationOutcome::kError,
                                  false, ""};
   ADEPT_ASSIGN_OR_RETURN(std::shared_ptr<const ProcessSchema> target,
@@ -255,7 +247,8 @@ Result<InstanceMigrationResult> MigrationManager::MigrateUnbiased(
   ADEPT_RETURN_IF_ERROR(instance.AdoptSchema(view, to));
   instance.mutable_trace().Append(
       {.kind = TraceEventKind::kMigrated,
-       .payload = {{}, StrFormat("to version %d", target->version())}});
+       .payload =
+           notes.Detail(StrFormat("to version %d", target->version()))});
 
   if (options.verify_adaptation_with_replay) {
     ReplayResult oracle = CheckComplianceByReplay(instance, view);
@@ -273,7 +266,8 @@ Result<InstanceMigrationResult> MigrationManager::MigrateUnbiased(
 
 Result<InstanceMigrationResult> MigrationManager::MigrateBiased(
     ProcessInstance& instance, const InstanceStore::Record& record,
-    SchemaId to, const Delta& type_change, const MigrationOptions& options) {
+    SchemaId to, const Delta& type_change, const MigrationOptions& options,
+    TraceNotePool& notes) {
   InstanceMigrationResult result{instance.id(), MigrationOutcome::kError,
                                  true, ""};
   ADEPT_ASSIGN_OR_RETURN(std::shared_ptr<const ProcessSchema> target,
@@ -330,10 +324,9 @@ Result<InstanceMigrationResult> MigrationManager::MigrateBiased(
       instance.set_biased(false);
       instance.mutable_trace().Append(
           {.kind = TraceEventKind::kMigrated,
-           .payload = {{},
-                       StrFormat("to version %d (bias cancelled: %s)",
-                                 target->version(),
-                                 OverlapKindToString(overlap))}});
+           .payload = notes.Detail(
+               StrFormat("to version %d (bias cancelled: %s)",
+                         target->version(), OverlapKindToString(overlap)))});
       result.outcome = MigrationOutcome::kBiasCancelled;
       return result;
     }
@@ -390,8 +383,8 @@ Result<InstanceMigrationResult> MigrationManager::MigrateBiased(
   ADEPT_RETURN_IF_ERROR(instance.AdoptSchema(view, to));
   instance.mutable_trace().Append(
       {.kind = TraceEventKind::kMigrated,
-       .payload = {{}, StrFormat("to version %d (bias kept)",
-                                 target->version())}});
+       .payload = notes.Detail(
+           StrFormat("to version %d (bias kept)", target->version()))});
 
   if (options.verify_adaptation_with_replay) {
     ReplayResult oracle = CheckComplianceByReplay(instance, view);

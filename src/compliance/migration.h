@@ -103,19 +103,23 @@ class MigrationManager {
   Result<MigrationReport> MigrateAll(SchemaId from, SchemaId to,
                                      const MigrationOptions& options = {});
 
-  // Migrates a single instance (on-demand / lazy migration).
+  // Migrates a single instance (on-demand / lazy migration). Its
+  // kMigrated event takes the note `notes` holds for its text; MigrateAll
+  // passes one pool to every instance of a call.
   Result<InstanceMigrationResult> MigrateOne(InstanceId id, SchemaId from,
                                              SchemaId to,
                                              const Delta& type_change,
-                                             const MigrationOptions& options);
+                                             const MigrationOptions& options,
+                                             TraceNotePool& notes);
 
  private:
   Result<InstanceMigrationResult> MigrateUnbiased(
       ProcessInstance& instance, SchemaId to, const Delta& type_change,
-      const MigrationOptions& options);
+      const MigrationOptions& options, TraceNotePool& notes);
   Result<InstanceMigrationResult> MigrateBiased(
       ProcessInstance& instance, const InstanceStore::Record& record,
-      SchemaId to, const Delta& type_change, const MigrationOptions& options);
+      SchemaId to, const Delta& type_change, const MigrationOptions& options,
+      TraceNotePool& notes);
 
   Engine* engine_;
   SchemaRepository* repository_;

@@ -468,7 +468,8 @@ Result<JsonValue> AdeptSystem::InstanceToJson(InstanceId id) const {
   return ij;
 }
 
-Status AdeptSystem::AdoptInstanceFromJson(const JsonValue& ij) {
+Status AdeptSystem::AdoptInstanceFromJson(const JsonValue& ij,
+                                          TraceNotePool& notes) {
   InstanceId id(static_cast<uint64_t>(ij.Get("id").as_int()));
   SchemaId base(static_cast<uint64_t>(ij.Get("base").as_int()));
   auto strategy = static_cast<StorageStrategy>(ij.Get("strategy").as_int());
@@ -486,7 +487,8 @@ Status AdeptSystem::AdoptInstanceFromJson(const JsonValue& ij) {
     return adopted.status();
   }
   (*adopted)->set_biased(biased);
-  ADEPT_RETURN_IF_ERROR(RestoreInstanceState(**adopted, ij.Get("state")));
+  ADEPT_RETURN_IF_ERROR(
+      RestoreInstanceState(**adopted, ij.Get("state"), notes));
   // An import carries the instance's claims (snapshot entries carry none:
   // the snapshot holds the whole ledger).
   ADEPT_RETURN_IF_ERROR(claims_.AddFromJson(ij.Get("claims")));
@@ -506,8 +508,10 @@ Status AdeptSystem::LoadSnapshotJson(const JsonValue& json,
   // reproduces the old replay-everything behavior.
   *wal_lsn = static_cast<uint64_t>(json.Get("wal_lsn").as_int());
   ADEPT_RETURN_IF_ERROR(repository_.LoadFromJson(json.Get("repo")));
+  // Equal detail texts share one note across the loaded instances.
+  TraceNotePool notes;
   for (const JsonValue& ij : json.Get("instances").as_array()) {
-    ADEPT_RETURN_IF_ERROR(AdoptInstanceFromJson(ij));
+    ADEPT_RETURN_IF_ERROR(AdoptInstanceFromJson(ij, notes));
   }
   ADEPT_RETURN_IF_ERROR(claims_.AddFromJson(json.Get("claims")));
   logged_org_ = json.Get("org");
@@ -523,7 +527,8 @@ Result<JsonValue> AdeptSystem::ExportInstance(InstanceId id) const {
 }
 
 Status AdeptSystem::ImportInstance(const JsonValue& exported) {
-  ADEPT_RETURN_IF_ERROR(AdoptInstanceFromJson(exported));
+  TraceNotePool notes;
+  ADEPT_RETURN_IF_ERROR(AdoptInstanceFromJson(exported, notes));
   if (!Logging()) return Status::OK();
   JsonValue record = JsonValue::MakeObject();
   record.Set("t", JsonValue("import"));

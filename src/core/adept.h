@@ -295,8 +295,9 @@ class AdeptSystem : public AdeptApi {
                                             InstanceId forced_id);
   // Per-instance (de)serialization shared by snapshots and the
   // export/import handover: id, base schema ref, strategy, bias, state.
+  // A load shares one note per detail text through `notes`.
   Result<JsonValue> InstanceToJson(InstanceId id) const;
-  Status AdoptInstanceFromJson(const JsonValue& ij);
+  Status AdoptInstanceFromJson(const JsonValue& ij, TraceNotePool& notes);
   Status LoadSnapshotJson(const JsonValue& json, uint64_t* wal_lsn);
   // Publishes `id`'s current state into the snapshot table (erases when
   // the instance is gone) and applies the publication delta to the query

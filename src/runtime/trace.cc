@@ -1,7 +1,8 @@
 #include "runtime/trace.h"
 
+#include <algorithm>
+#include <cassert>
 #include <sstream>
-#include <unordered_set>
 
 namespace adept {
 
@@ -33,127 +34,197 @@ const char* TraceEventKindToString(TraceEventKind k) {
   return "?";
 }
 
+namespace {
+
+constexpr uint32_t Bit(TraceEventKind kind) {
+  return 1u << static_cast<unsigned>(kind);
+}
+
+// The one value a record keeps: the field the event's kind uses. The
+// engine never sets the other two.
+uint32_t ValueOf(const TraceEvent& event) {
+  switch (event.kind) {
+    case TraceEventKind::kDataWrite:
+      assert(event.branch_value == 0 && event.iteration == 0);
+      return event.data.value();
+    case TraceEventKind::kBranchChosen:
+      assert(!event.data.valid() && event.iteration == 0);
+      return static_cast<uint32_t>(event.branch_value);
+    case TraceEventKind::kLoopReset:
+      assert(!event.data.valid() && event.branch_value == 0);
+      return static_cast<uint32_t>(event.iteration);
+    default:
+      assert(!event.data.valid() && event.branch_value == 0 &&
+             event.iteration == 0);
+      return 0;
+  }
+}
+
+}  // namespace
+
 TracePayload::TracePayload(std::vector<NodeId> reset_nodes,
                            std::string detail) {
   if (reset_nodes.empty() && detail.empty()) return;
-  fields_ = std::make_unique<Fields>(
-      Fields{std::move(reset_nodes), std::move(detail)});
-}
-
-TracePayload::TracePayload(const TracePayload& other)
-    : fields_(other.fields_ == nullptr
-                  ? nullptr
-                  : std::make_unique<Fields>(*other.fields_)) {}
-
-TracePayload& TracePayload::operator=(const TracePayload& other) {
-  if (this != &other) *this = TracePayload(other);
-  return *this;
+  note_ = std::make_shared<const Note>(
+      Note{std::move(reset_nodes), std::move(detail)});
 }
 
 const std::vector<NodeId>& TracePayload::reset_nodes() const {
   static const std::vector<NodeId> kNone;
-  return fields_ == nullptr ? kNone : fields_->reset_nodes;
+  return note_ == nullptr ? kNone : note_->reset_nodes;
 }
 
 const std::string& TracePayload::detail() const {
   static const std::string kNone;
-  return fields_ == nullptr ? kNone : fields_->detail;
+  return note_ == nullptr ? kNone : note_->detail;
 }
 
 size_t TracePayload::MemoryFootprint() const {
-  if (fields_ == nullptr) return 0;
-  return sizeof(Fields) + fields_->detail.capacity() +
-         fields_->reset_nodes.capacity() * sizeof(NodeId);
+  if (note_ == nullptr) return 0;
+  return (sizeof(Note) + note_->detail.capacity() +
+          note_->reset_nodes.capacity() * sizeof(NodeId)) /
+         static_cast<size_t>(note_.use_count());
+}
+
+TracePayload TraceNotePool::Detail(const std::string& text) {
+  if (text.empty()) return {};
+  auto [it, inserted] = notes_.try_emplace(text);
+  if (inserted) it->second = TracePayload({}, text);
+  return it->second;
 }
 
 int64_t ExecutionTrace::Append(TraceEvent event) {
-  event.sequence = next_sequence_++;
-  events_.push_back(std::move(event));
-  return events_.back().sequence;
+  TraceRecord record{event.kind, event.node, ValueOf(event), 0};
+  if (!event.payload.empty()) {
+    notes_.push_back(std::move(event.payload));
+    record.note = static_cast<uint32_t>(notes_.size());
+  }
+  records_.push_back(record);
+  return next_sequence() - 1;
 }
 
-void ExecutionTrace::Restore(std::vector<TraceEvent> events) {
-  events_ = std::move(events);
-  next_sequence_ = events_.empty() ? 0 : events_.back().sequence + 1;
+TraceEvent ExecutionTrace::EventAt(size_t index) const {
+  const TraceRecord& record = records_[index];
+  TraceEvent event{.sequence = static_cast<int64_t>(index),
+                   .kind = record.kind,
+                   .node = record.node};
+  switch (record.kind) {
+    case TraceEventKind::kDataWrite:
+      event.data = DataId(record.value);
+      break;
+    case TraceEventKind::kBranchChosen:
+      event.branch_value = static_cast<int>(record.value);
+      break;
+    case TraceEventKind::kLoopReset:
+      event.iteration = static_cast<int>(record.value);
+      break;
+    default:
+      break;
+  }
+  event.payload = NoteOf(record);
+  return event;
+}
+
+const TracePayload& ExecutionTrace::NoteOf(const TraceRecord& record) const {
+  static const TracePayload kNone;
+  return record.note == 0 ? kNone : notes_[record.note - 1];
 }
 
 std::vector<TraceEvent> ExecutionTrace::Reduced() const {
-  // Backwards scan: collect, per node, the sequence *after* which events
-  // survive (the last reset touching the node). Node-less events survive.
-  std::unordered_map<NodeId, int64_t> erased_until;
-  for (auto it = events_.rbegin(); it != events_.rend(); ++it) {
-    if (it->kind != TraceEventKind::kLoopReset) continue;
-    for (NodeId n : it->reset_nodes()) {
-      auto ins = erased_until.emplace(n, it->sequence);
-      if (!ins.second && ins.first->second < it->sequence) {
-        ins.first->second = it->sequence;
-      }
+  // Backwards scan: per node, the last reset that names it. Earlier events
+  // of the node are erased; node-less events survive.
+  std::unordered_map<NodeId, size_t> erased_until;
+  for (size_t i = records_.size(); i-- > 0;) {
+    if (records_[i].kind != TraceEventKind::kLoopReset) continue;
+    for (NodeId n : NoteOf(records_[i]).reset_nodes()) {
+      erased_until.emplace(n, i);
     }
   }
   std::vector<TraceEvent> out;
-  out.reserve(events_.size());
-  for (const TraceEvent& e : events_) {
-    if (e.node.valid()) {
-      auto it = erased_until.find(e.node);
-      if (it != erased_until.end() && e.sequence < it->second) continue;
+  out.reserve(records_.size());
+  for (size_t i = 0; i < records_.size(); ++i) {
+    if (records_[i].node.valid()) {
+      auto it = erased_until.find(records_[i].node);
+      if (it != erased_until.end() && i < it->second) continue;
     }
-    out.push_back(e);
+    out.push_back(EventAt(i));
   }
   return out;
 }
 
-int64_t ExecutionTrace::LastStartSeq(NodeId node) const {
-  for (auto it = events_.rbegin(); it != events_.rend(); ++it) {
+int64_t ExecutionTrace::LastOf(NodeId node, uint32_t kinds) const {
+  for (size_t i = records_.size(); i-- > 0;) {
+    const TraceRecord& record = records_[i];
     // A reset erases earlier iterations: stop searching past it.
-    if (it->kind == TraceEventKind::kLoopReset) {
-      for (NodeId n : it->reset_nodes()) {
-        if (n == node) return -1;
+    if (record.kind == TraceEventKind::kLoopReset) {
+      const std::vector<NodeId>& reset = NoteOf(record).reset_nodes();
+      if (std::find(reset.begin(), reset.end(), node) != reset.end()) {
+        return -1;
       }
     }
-    if (it->node == node && it->kind == TraceEventKind::kActivityStarted) {
-      return it->sequence;
+    if (record.node == node && (Bit(record.kind) & kinds) != 0) {
+      return static_cast<int64_t>(i);
     }
   }
   return -1;
+}
+
+int64_t ExecutionTrace::LastStartSeq(NodeId node) const {
+  return LastOf(node, Bit(TraceEventKind::kActivityStarted));
 }
 
 int64_t ExecutionTrace::LastCompletionSeq(NodeId node) const {
-  for (auto it = events_.rbegin(); it != events_.rend(); ++it) {
-    if (it->kind == TraceEventKind::kLoopReset) {
-      for (NodeId n : it->reset_nodes()) {
-        if (n == node) return -1;
-      }
-    }
-    if (it->node == node && it->kind == TraceEventKind::kActivityCompleted) {
-      return it->sequence;
-    }
-  }
-  return -1;
+  return LastOf(node, Bit(TraceEventKind::kActivityCompleted));
+}
+
+int64_t ExecutionTrace::LastResolutionSeq(NodeId node) const {
+  return LastOf(node, Bit(TraceEventKind::kActivityCompleted) |
+                          Bit(TraceEventKind::kActivitySkipped));
 }
 
 std::optional<int> ExecutionTrace::LastBranchChosen(NodeId split) const {
-  for (auto it = events_.rbegin(); it != events_.rend(); ++it) {
-    if (it->kind == TraceEventKind::kLoopReset) {
-      for (NodeId n : it->reset_nodes()) {
-        if (n == split) return std::nullopt;
-      }
-    }
-    if (it->node == split && it->kind == TraceEventKind::kBranchChosen) {
-      return it->branch_value;
-    }
+  int64_t i = LastOf(split, Bit(TraceEventKind::kBranchChosen));
+  if (i < 0) return std::nullopt;
+  return static_cast<int>(records_[static_cast<size_t>(i)].value);
+}
+
+ExecutionTrace ExecutionTrace::Remapped(
+    const std::unordered_map<NodeId, NodeId>& nodes,
+    const std::unordered_map<DataId, DataId>& data) const {
+  auto map_node = [&](NodeId id) {
+    auto it = nodes.find(id);
+    return it == nodes.end() ? id : it->second;
+  };
+  ExecutionTrace out = *this;
+  for (TraceRecord& record : out.records_) {
+    if (record.node.valid()) record.node = map_node(record.node);
+    if (record.kind != TraceEventKind::kDataWrite) continue;
+    auto it = data.find(DataId(record.value));
+    if (it != data.end()) record.value = it->second.value();
   }
-  return std::nullopt;
+  for (TracePayload& note : out.notes_) {
+    std::vector<NodeId> reset = note.reset_nodes();
+    bool changed = false;
+    for (NodeId& n : reset) {
+      NodeId mapped = map_node(n);
+      changed = changed || mapped != n;
+      n = mapped;
+    }
+    if (changed) note = TracePayload(std::move(reset), note.detail());
+  }
+  return out;
 }
 
 size_t ExecutionTrace::MemoryFootprint() const {
-  size_t bytes = sizeof(*this) + events_.capacity() * sizeof(TraceEvent);
-  for (const TraceEvent& e : events_) bytes += e.payload.MemoryFootprint();
+  size_t bytes = sizeof(*this) + records_.capacity() * sizeof(TraceRecord) +
+                 notes_.capacity() * sizeof(TracePayload);
+  for (const TracePayload& note : notes_) bytes += note.MemoryFootprint();
   return bytes;
 }
 
 std::string ExecutionTrace::DebugString() const {
   std::ostringstream os;
-  for (const TraceEvent& e : events_) {
+  for (const TraceEvent& e : events()) {
     os << e.sequence << " " << TraceEventKindToString(e.kind);
     if (e.node.valid()) os << " node=" << e.node;
     if (e.data.valid()) os << " data=" << e.data;

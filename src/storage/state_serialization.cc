@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/string_util.h"
+
 namespace adept {
 
 JsonValue MarkingToJson(const Marking& marking) {
@@ -68,13 +70,36 @@ JsonValue TraceToJson(const ExecutionTrace& trace) {
   return j;
 }
 
-Result<ExecutionTrace> TraceFromJson(const JsonValue& json) {
+Result<ExecutionTrace> TraceFromJson(const JsonValue& json,
+                                     TraceNotePool& notes) {
   if (!json.is_object()) return Status::Corruption("trace json malformed");
-  std::vector<TraceEvent> events;
+  ExecutionTrace trace;
   for (const JsonValue& e : json.Get("events").as_array()) {
+    // A record stores no sequence and one value: what the engine writes
+    // fits, and anything else would be lost on load.
+    const int64_t index = trace.next_sequence();
+    const JsonValue& sequence = e.Get("q");
+    if (!sequence.is_int() || sequence.as_int() != index) {
+      return Status::Corruption(StrFormat(
+          "trace event %lld: sequence is not its index",
+          static_cast<long long>(index)));
+    }
+    const JsonValue& kind = e.Get("k");
+    if (!kind.is_int() || kind.as_int() < 0 ||
+        kind.as_int() > static_cast<int64_t>(TraceEventKind::kMigrated)) {
+      return Status::Corruption(StrFormat("trace event %lld: unknown kind",
+                                          static_cast<long long>(index)));
+    }
     TraceEvent ev;
-    ev.sequence = e.Get("q").as_int();
-    ev.kind = static_cast<TraceEventKind>(e.Get("k").as_int());
+    ev.kind = static_cast<TraceEventKind>(kind.as_int());
+    if ((e.Has("d") && ev.kind != TraceEventKind::kDataWrite) ||
+        (e.Has("b") && ev.kind != TraceEventKind::kBranchChosen) ||
+        (e.Has("i") && ev.kind != TraceEventKind::kLoopReset)) {
+      return Status::Corruption(StrFormat(
+          "trace event %lld: a data id, branch or iteration its kind (%s) "
+          "does not record",
+          static_cast<long long>(index), TraceEventKindToString(ev.kind)));
+    }
     if (e.Has("n")) {
       ev.node = NodeId(static_cast<uint32_t>(e.Get("n").as_int()));
     }
@@ -87,12 +112,18 @@ Result<ExecutionTrace> TraceFromJson(const JsonValue& json) {
     for (const JsonValue& r : e.Get("r").as_array()) {
       reset_nodes.push_back(NodeId(static_cast<uint32_t>(r.as_int())));
     }
-    ev.payload = TracePayload(std::move(reset_nodes), e.Get("t").as_string());
-    events.push_back(std::move(ev));
+    const std::string& detail = e.Get("t").as_string();
+    ev.payload = reset_nodes.empty()
+                     ? notes.Detail(detail)
+                     : TracePayload(std::move(reset_nodes), detail);
+    trace.Append(std::move(ev));
   }
-  ExecutionTrace trace;
-  trace.Restore(std::move(events));
   return trace;
+}
+
+Result<ExecutionTrace> TraceFromJson(const JsonValue& json) {
+  TraceNotePool notes;
+  return TraceFromJson(json, notes);
 }
 
 JsonValue DataContextToJson(const DataContext& data) {
@@ -169,11 +200,12 @@ JsonValue InstanceStateToJson(const ProcessInstance& instance) {
   return j;
 }
 
-Status RestoreInstanceState(ProcessInstance& instance, const JsonValue& json) {
+Status RestoreInstanceState(ProcessInstance& instance, const JsonValue& json,
+                            TraceNotePool& notes) {
   if (!json.is_object()) return Status::Corruption("instance state malformed");
   ADEPT_ASSIGN_OR_RETURN(Marking marking, MarkingFromJson(json.Get("marking")));
   ADEPT_ASSIGN_OR_RETURN(ExecutionTrace trace,
-                         TraceFromJson(json.Get("trace")));
+                         TraceFromJson(json.Get("trace"), notes));
   ADEPT_ASSIGN_OR_RETURN(DataContext data,
                          DataContextFromJson(json.Get("data")));
   PersistentMap<NodeId, int> loops;

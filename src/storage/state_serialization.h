@@ -14,6 +14,13 @@ JsonValue MarkingToJson(const Marking& marking);
 Result<Marking> MarkingFromJson(const JsonValue& json);
 
 JsonValue TraceToJson(const ExecutionTrace& trace);
+// Refuses with kCorruption an event whose "q" is not its index, whose "k"
+// names no kind, or that carries a data id, branch or iteration its kind
+// does not record. An event whose only payload is a detail text takes the
+// note `notes` holds for that text, so equal texts share one note.
+Result<ExecutionTrace> TraceFromJson(const JsonValue& json,
+                                     TraceNotePool& notes);
+// The same with a pool of its own, shared within the one trace.
 Result<ExecutionTrace> TraceFromJson(const JsonValue& json);
 
 JsonValue DataContextToJson(const DataContext& data);
@@ -22,7 +29,9 @@ Result<DataContext> DataContextFromJson(const JsonValue& json);
 // Full runtime state of an instance (schema reference excluded — the caller
 // persists base schema id + bias delta separately).
 JsonValue InstanceStateToJson(const ProcessInstance& instance);
-Status RestoreInstanceState(ProcessInstance& instance, const JsonValue& json);
+// The trace's detail texts take their notes from `notes` (TraceFromJson).
+Status RestoreInstanceState(ProcessInstance& instance, const JsonValue& json,
+                            TraceNotePool& notes);
 
 }  // namespace adept
 

@@ -19,11 +19,7 @@ namespace {
 size_t TailSinceStart(const ExecutionTrace& trace, NodeId node) {
   const int64_t last_start = trace.LastStartSeq(node);
   if (last_start < 0) return 0;  // Running without a start: not our rule
-  size_t tail = 0;
-  for (const TraceEvent& event : trace.events()) {
-    if (event.sequence > last_start) ++tail;
-  }
-  return tail;
+  return static_cast<size_t>(trace.next_sequence() - 1 - last_start);
 }
 
 void LintStuckActivities(const Engine& engine,

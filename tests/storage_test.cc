@@ -629,7 +629,8 @@ TEST(StateSerializationTest, InstanceStateRoundTrip) {
   ASSERT_TRUE(reparsed.ok());
 
   ProcessInstance restored(InstanceId(5), schema, SchemaId(1));
-  ASSERT_TRUE(RestoreInstanceState(restored, *reparsed).ok());
+  TraceNotePool notes;
+  ASSERT_TRUE(RestoreInstanceState(restored, *reparsed, notes).ok());
 
   EXPECT_EQ(restored.marking(), original.marking());
   EXPECT_EQ(restored.trace().DebugString(), original.trace().DebugString());
