@@ -5,8 +5,8 @@
 //                         one Sync per append — the discipline the engine
 //                         used before group commit (every shard-locked
 //                         append flushed on its own)
-//   BM_WalGroupCommit     WalWriter: appenders enqueue + WaitDurable; the
-//                         first waiter leads the batch inline (leader-
+//   BM_WalGroupCommit     WalWriter::Append: enqueue, then WaitDurable;
+//                         the first waiter leads the batch inline (leader-
 //                         based group commit), coalescing every concurrent
 //                         append into a single write burst + one Sync
 //   BM_WalFlushCrossover  the low-appender-count crossover, measured
@@ -18,6 +18,12 @@
 //                         appenders on one core; leader commit runs the
 //                         solo append entirely on the caller's thread, so
 //                         the speedup should be >= ~1 from 1 appender up.
+//
+// Append is the library's own commit pattern: an engine call enqueues its
+// record (under the cluster's shard lock) and the same thread later waits
+// for it, and the writer has no thread of its own, so whoever waits writes
+// the batch. BENCH_wal.json therefore prices the WAL share of a cluster
+// write.
 //
 // Arg(0) selects the SyncMode (0 none, 1 flush, 2 fsync); ->Threads(N)
 // sets the number of concurrent appenders. Expected shape: comparable at

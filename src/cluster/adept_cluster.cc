@@ -21,7 +21,8 @@ AdeptOptions AdeptCluster::ShardOptions(const ClusterOptions& options,
   shard_options.default_strategy = options.default_strategy;
   shard_options.sync = options.sync;
   // The cluster pipelines durability itself: records are enqueued under the
-  // shard lock, the wait happens after the lock is released.
+  // shard lock; the wait, whose thread writes the batch, happens after the
+  // lock is released.
   shard_options.defer_wal_sync = true;
   shard_options.wal_path =
       ShardRouting::PathFor(options.wal_path, static_cast<size_t>(index));

@@ -223,12 +223,6 @@ bool FailoverCoordinator::ReplicaRunning(int node) const {
          nodes_[static_cast<size_t>(node)].running;
 }
 
-uint16_t FailoverCoordinator::ReplicaPort(int node) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (node < 0 || node >= static_cast<int>(nodes_.size())) return 0;
-  return nodes_[static_cast<size_t>(node)].port;
-}
-
 int FailoverCoordinator::replica_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return static_cast<int>(nodes_.size());

@@ -133,7 +133,6 @@ class FailoverCoordinator : public PrimaryResolver {
   Status RestartReplica(int node);
 
   bool ReplicaRunning(int node) const;
-  uint16_t ReplicaPort(int node) const;
   int replica_count() const;
 
   // Called (without coordinator locks held) at each promotion stage:

@@ -60,8 +60,6 @@ class WorkerPool {
     for (std::thread& worker : workers_) worker.join();
   }
 
-  size_t thread_count() const { return workers_.size(); }
-
   void Submit(std::function<void()> task) {
     {
       std::lock_guard<std::mutex> lock(mu_);

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <ostream>
-#include <string>
 
 namespace adept {
 
@@ -94,12 +93,6 @@ using RoleId = TypedId<RoleIdTag>;
 using ServerId = TypedId<ServerIdTag>;
 // Worklist item.
 using WorkItemId = TypedId<WorkItemIdTag, uint64_t>;
-
-template <typename Id>
-std::string IdToString(Id id) {
-  if (!id.valid()) return std::string(Id{}.valid() ? "?" : "") + "<invalid>";
-  return std::string(1, '#') + std::to_string(id.value());
-}
 
 }  // namespace adept
 

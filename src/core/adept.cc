@@ -567,9 +567,9 @@ Status AdeptSystem::SaveSnapshot() {
   }
   // The snapshot is built from in-memory state, which already reflects
   // every enqueued record, so it covers everything up to this LSN — even
-  // records the writer thread has not flushed yet. It keeps only the
-  // claims of live activities; nothing but a damaged or hand-edited log
-  // leaves others in the ledger.
+  // records still queued for a drain (Truncate writes them first). It keeps
+  // only the claims of live activities; nothing but a damaged or
+  // hand-edited log leaves others in the ledger.
   const uint64_t cover = wal_ != nullptr ? wal_->last_enqueued_lsn() : 0;
   claims_.Prune(engine_);
   // The file holds the bytes Dump() would write for one snapshot object,

@@ -63,8 +63,9 @@ struct AdeptOptions {
   SyncMode sync = SyncMode::kFlush;
   // When true, state-changing calls only *enqueue* their WAL record and
   // return without waiting for durability; callers then await
-  // WaitWalDurable(last_enqueued_lsn()) themselves. The cluster layer uses
-  // this to overlap engine work with WAL I/O across shards.
+  // WaitWalDurable(last_enqueued_lsn()) themselves, and the waiting thread
+  // writes the batch. The cluster layer uses this to wait after releasing
+  // the shard lock, so other threads' engine work overlaps the WAL I/O.
   bool defer_wal_sync = false;
   // Maintain the secondary query indexes (src/query/README.md) on every
   // snapshot publication. Disabling trades indexed Query() execution
@@ -274,7 +275,6 @@ class AdeptSystem : public AdeptApi {
   WalWriter* wal_writer() { return wal_.get(); }
   SchemaRepository& repository() { return repository_; }
   InstanceStore& store() { return store_; }
-  MigrationManager& migration_manager() { return migration_manager_; }
   ProcessInstance* MutableInstance(InstanceId id) { return engine_.Find(id); }
 
  private:

@@ -14,7 +14,6 @@ void AutoAdapter::OnNodeStateChange(const ProcessInstance& instance,
       if (n == nullptr || n->name != rule.activity_name) continue;
     }
     queue_.push_back(Firing{instance.id(), node, i});
-    ++fired_total_;
   }
 }
 

@@ -57,7 +57,6 @@ class AutoAdapter : public InstanceObserver {
   std::vector<AdaptationOutcome> Drain();
 
   size_t pending() const { return queue_.size(); }
-  size_t fired_total() const { return fired_total_; }
 
  private:
   struct Firing {
@@ -69,7 +68,6 @@ class AutoAdapter : public InstanceObserver {
   AdeptSystem* system_;
   std::vector<AdaptationRule> rules_;
   std::deque<Firing> queue_;
-  size_t fired_total_ = 0;
 };
 
 }  // namespace adept

@@ -68,7 +68,6 @@ class SimulatedCluster {
   ServerId AddServer(const std::string& name);
 
   Result<std::string> ServerName(ServerId server) const;
-  size_t server_count() const { return servers_.size(); }
 
   // Owner of activities without an explicit assignment (invalid id when the
   // cluster is empty).

@@ -159,18 +159,6 @@ Status ProcessSchema::RemoveEdge(EdgeId id) {
   return Status::OK();
 }
 
-Status ProcessSchema::RemoveData(DataId id) {
-  ADEPT_RETURN_IF_ERROR(CheckMutable());
-  if (data_.erase(id.value()) == 0) {
-    return Status::NotFound("no such data element");
-  }
-  data_edges_.erase(
-      std::remove_if(data_edges_.begin(), data_edges_.end(),
-                     [&](const DataEdge& de) { return de.data == id; }),
-      data_edges_.end());
-  return Status::OK();
-}
-
 Status ProcessSchema::RemoveDataEdge(NodeId node, DataId data,
                                      AccessMode mode) {
   ADEPT_RETURN_IF_ERROR(CheckMutable());

@@ -72,7 +72,6 @@ class ProcessSchema final : public SchemaView {
   // the graph.
   Status RemoveNode(NodeId id);
   Status RemoveEdge(EdgeId id);
-  Status RemoveData(DataId id);
   Status RemoveDataEdge(NodeId node, DataId data, AccessMode mode);
 
   // Mutable access to a live node (attribute edits); nullptr if absent.

@@ -21,13 +21,6 @@ std::vector<EdgeId> SchemaView::EdgeIds() const {
   return out;
 }
 
-std::vector<DataId> SchemaView::DataIds() const {
-  std::vector<DataId> out;
-  out.reserve(data_count());
-  VisitData([&](const DataElement& d) { out.push_back(d.id); });
-  return out;
-}
-
 std::vector<NodeId> SchemaView::Successors(NodeId node, EdgeType type) const {
   std::vector<NodeId> out;
   VisitOutEdges(node, [&](const Edge& e) {

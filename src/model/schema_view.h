@@ -63,7 +63,6 @@ class SchemaView {
 
   std::vector<NodeId> NodeIds() const;
   std::vector<EdgeId> EdgeIds() const;
-  std::vector<DataId> DataIds() const;
 
   // Successors/predecessors over edges of `type`.
   std::vector<NodeId> Successors(NodeId node, EdgeType type) const;

@@ -97,7 +97,6 @@ class ReplicationReplica {
     return primary_health_.Assess(options_.suspect_after_ms,
                                   options_.dead_after_ms);
   }
-  int64_t PrimarySilenceMs() const { return primary_health_.SilenceMs(); }
 
  private:
   // Durable state of one shard stream.

@@ -1,7 +1,5 @@
 #include "runtime/data_context.h"
 
-#include <algorithm>
-
 namespace adept {
 
 void DataContext::Write(DataId data, DataValue value, NodeId writer,
@@ -43,60 +41,6 @@ std::vector<DataContext::Version> DataContext::Materialize(
     out[--i] = node->version;
   }
   return out;
-}
-
-size_t DataContext::DropVersionsBy(NodeId writer) {
-  size_t dropped = 0;
-  // Collect first: mutating a persistent map invalidates value pointers
-  // handed out during its own iteration.
-  std::vector<std::pair<DataId, std::vector<Version>>> rebuilt;
-  std::vector<DataId> gone;
-  elements_.ForEach([&](DataId id, const HistoryPtr& head) {
-    bool any = false;
-    for (const VersionNode* node = head.get(); node != nullptr;
-         node = node->prev.get()) {
-      if (node->version.writer == writer) {
-        any = true;
-        break;
-      }
-    }
-    if (!any) return;
-    std::vector<Version> versions = Materialize(head);
-    size_t before = versions.size();
-    versions.erase(std::remove_if(versions.begin(), versions.end(),
-                                  [&](const Version& v) {
-                                    return v.writer == writer;
-                                  }),
-                   versions.end());
-    dropped += before - versions.size();
-    if (versions.empty()) {
-      gone.push_back(id);
-    } else {
-      rebuilt.emplace_back(id, std::move(versions));
-    }
-  });
-  for (DataId id : gone) {
-    elements_.Erase(id);
-    tips_.Erase(id);
-  }
-  for (auto& [id, versions] : rebuilt) {
-    HistoryPtr head;
-    for (Version& v : versions) {
-      auto node = std::make_shared<VersionNode>();
-      node->length = head == nullptr ? 1 : head->length + 1;
-      node->version = std::move(v);
-      node->prev = std::move(head);
-      head = std::move(node);
-    }
-    tips_.Set(id, head->version.value);
-    elements_.Set(id, std::move(head));
-  }
-  return dropped;
-}
-
-void DataContext::DropElement(DataId data) {
-  elements_.Erase(data);
-  tips_.Erase(data);
 }
 
 size_t DataContext::MemoryFootprint() const {

@@ -59,14 +59,6 @@ class DataContext {
   // serialization), never the mutation or publication path.
   std::vector<Version> History(DataId data) const;
 
-  // Removes all versions written by `writer` (used when an activity's
-  // effects must be undone, e.g. delete of a completed loop-body activity
-  // after a reset). Returns number of versions dropped.
-  size_t DropVersionsBy(NodeId writer);
-
-  // Removes all versions of `data` (element deleted from the schema).
-  void DropElement(DataId data);
-
   // Raw history heads, keyed by element. Iteration order is by id bits;
   // deterministic consumers sort.
   const PersistentMap<DataId, HistoryPtr>& elements() const {

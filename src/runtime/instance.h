@@ -163,9 +163,6 @@ class ProcessInstance {
   // checker after seeding data values directly into the data context.
   Status PropagateMarkings();
 
-  // Direct marking access for the state adapter (keep trace consistent!).
-  Marking* mutable_marking() { return &marking_; }
-
   // Recovery support: overwrites the runtime state wholesale (snapshot
   // load). The caller must pass state consistent with the current schema.
   // `activated_since` may be empty (pre-refactor records): in-flight

@@ -18,7 +18,7 @@
 // snapshot publication ref-bump instead of deep-copy. The marking also
 // maintains the sets of currently Activated resp. Running nodes as
 // derived persistent indexes — every mutation path goes through
-// set_node/erase_node, so the sets can never drift from the map.
+// set_node, so the sets can never drift from the map.
 
 #ifndef ADEPT_RUNTIME_MARKING_H_
 #define ADEPT_RUNTIME_MARKING_H_
@@ -93,7 +93,6 @@ class Marking {
     }
   }
 
-  void erase_node(NodeId id) { set_node(id, NodeState::kNotActivated); }
   void erase_edge(EdgeId id) { edge_states_.Erase(id); }
 
   // Only non-default entries are stored; iteration yields those.

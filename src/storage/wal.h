@@ -142,7 +142,7 @@ class WriteAheadLog {
 
   // Appends a pre-serialized payload under a caller-assigned LSN, which
   // must exceed last_lsn(). Used by WalWriter, whose appenders draw LSN
-  // tickets before the background thread performs the write.
+  // tickets at enqueue time, before the draining thread writes the batch.
   Status AppendFrame(uint64_t lsn, const std::string& payload);
 
   // Pushes buffered frames toward stable storage per `mode`.

@@ -28,65 +28,37 @@ WalWriter::WalWriter(std::string path, const WalWriterOptions& options,
     : path_(std::move(path)), options_(options), log_(std::move(log)) {
   next_lsn_ = std::max(log_->last_lsn(), options_.min_last_lsn);
   durable_lsn_ = next_lsn_;
-  writer_ = std::thread([this] { WriterLoop(); });
 }
 
 WalWriter::~WalWriter() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-  }
-  work_cv_.notify_all();
-  if (writer_.joinable()) writer_.join();
+  std::unique_lock<std::mutex> lock(mu_);
+  DrainQueueLocked(lock);
 }
 
 uint64_t WalWriter::Enqueue(const JsonValue& record) {
   std::string payload = record.Dump();  // serialize outside the lock
-  uint64_t lsn;
-  bool background = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    lsn = ++next_lsn_;
-    queue_.push_back({lsn, std::move(payload)});
-    // With a waiter around, that waiter (or the current leader's handover)
-    // drains the record; only a fire-and-forget append with nobody waiting
-    // needs the background thread.
-    background = waiters_ == 0;
-  }
-  if (background) work_cv_.notify_one();
+  std::lock_guard<std::mutex> lock(mu_);
+  const uint64_t lsn = ++next_lsn_;
+  queue_.push_back({lsn, std::move(payload)});
   return lsn;
-}
-
-Status WalWriter::WaitDurableLocked(uint64_t lsn,
-                                    std::unique_lock<std::mutex>& lock) {
-  ++waiters_;
-  while (durable_lsn_ < lsn && error_.ok() && !stopped_) {
-    if (!writing_ && !queue_.empty()) {
-      // Leader election is implicit: whoever observes an idle log with a
-      // backlog drains it inline. Followers sleep below; when this batch
-      // lands, any follower whose LSN is still pending becomes the next
-      // leader for what queued up during the I/O.
-      DrainBatchLocked(lock);
-    } else {
-      durable_cv_.wait(lock);
-    }
-  }
-  --waiters_;
-  if (waiters_ == 0 && !queue_.empty()) {
-    // Records arrived while the last waiter was finishing up; hand the
-    // remainder to the background drain.
-    work_cv_.notify_one();
-  }
-  if (durable_lsn_ >= lsn) return Status::OK();
-  if (!error_.ok()) return error_;
-  return Status::Corruption("WAL writer stopped before LSN became durable");
 }
 
 Status WalWriter::WaitDurable(uint64_t lsn) {
   WalCommitHook* hook = nullptr;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    ADEPT_RETURN_IF_ERROR(WaitDurableLocked(lsn, lock));
+    while (durable_lsn_ < lsn && error_.ok()) {
+      if (!writing_ && !queue_.empty()) {
+        // Leader election is implicit: whoever observes an idle log with a
+        // backlog drains it inline. Followers sleep below; when this batch
+        // lands, any follower whose LSN is still pending becomes the next
+        // leader for what queued up during the I/O.
+        DrainBatchLocked(lock);
+      } else {
+        durable_cv_.wait(lock);
+      }
+    }
+    if (durable_lsn_ < lsn) return error_;
     hook = hook_;
   }
   // Remote durability (quorum acks) is awaited with mu_ released: the wait
@@ -97,21 +69,7 @@ Status WalWriter::WaitDurable(uint64_t lsn) {
 }
 
 Status WalWriter::Append(const JsonValue& record) {
-  // One lock acquisition covers enqueue + lead + wait: the solo-appender
-  // path is append, inline write+sync, return — no handoff, no second
-  // mutex round trip.
-  std::string payload = record.Dump();  // serialize outside the lock
-  uint64_t lsn;
-  WalCommitHook* hook = nullptr;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    lsn = ++next_lsn_;
-    queue_.push_back({lsn, std::move(payload)});
-    ADEPT_RETURN_IF_ERROR(WaitDurableLocked(lsn, lock));
-    hook = hook_;
-  }
-  if (hook != nullptr) return hook->WaitRemote(lsn);
-  return Status::OK();
+  return WaitDurable(Enqueue(record));
 }
 
 void WalWriter::SetCommitHook(WalCommitHook* hook) {
@@ -121,13 +79,9 @@ void WalWriter::SetCommitHook(WalCommitHook* hook) {
 
 Status WalWriter::Truncate() {
   std::unique_lock<std::mutex> lock(mu_);
-  // Drain: once the queue is empty and no batch is in flight, the writer
-  // thread is parked on work_cv_ and cannot touch log_ while we hold mu_.
-  durable_cv_.wait(lock,
-                   [&] { return (queue_.empty() && !writing_) || stopped_; });
-  if (!queue_.empty() || writing_) {
-    return Status::Corruption("WAL writer stopped with a pending backlog");
-  }
+  // Once the queue is drained and no batch is in flight, nothing touches
+  // log_ while we hold mu_ (the contract excludes concurrent appenders).
+  DrainQueueLocked(lock);
   Status st = log_->Truncate();
   if (st.ok()) {
     // Fresh file: a prior I/O failure is repaired, and every LSN handed out
@@ -187,28 +141,18 @@ void WalWriter::DrainBatchLocked(std::unique_lock<std::mutex>& lock) {
     error_ = st;
   }
   // Wake followers (one of them leads the next batch if the queue refilled
-  // during the I/O) and Truncate drains.
+  // during the I/O) and a Truncate or destructor waiting out this batch.
   durable_cv_.notify_all();
-  if (!queue_.empty() && waiters_ == 0) work_cv_.notify_one();
 }
 
-void WalWriter::WriterLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    // Drain of last resort: only runs for records nobody waits on
-    // (defer_wal_sync pipelining, a rolled-back claim's release) — an
-    // active waiter is always the preferred leader. On shutdown the
-    // backlog is drained here regardless.
-    work_cv_.wait(lock, [&] {
-      if (writing_) return false;  // a leader owns the log
-      if (!queue_.empty()) return stopping_ || waiters_ == 0;
-      return stopping_;
-    });
-    if (queue_.empty()) break;  // stopping_ with a drained queue
-    DrainBatchLocked(lock);
+void WalWriter::DrainQueueLocked(std::unique_lock<std::mutex>& lock) {
+  while (writing_ || !queue_.empty()) {
+    if (writing_) {
+      durable_cv_.wait(lock);  // a leader's batch is in flight
+    } else {
+      DrainBatchLocked(lock);
+    }
   }
-  stopped_ = true;
-  durable_cv_.notify_all();
 }
 
 }  // namespace adept

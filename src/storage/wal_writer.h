@@ -1,29 +1,25 @@
 // WalWriter: leader-based group-commit front end for WriteAheadLog.
 //
-// Concurrent appenders call Enqueue() and immediately receive a monotonic
-// LSN ticket. Durability is leader-driven: the first WaitDurable caller
-// whose LSN is not yet durable becomes the *leader* and drains the queue
-// inline on its own thread — one stdio write burst, one Sync per batch —
-// while followers sleep until their LSN is covered; when the leader's
-// batch completes, the next unsatisfied follower takes over the leader
-// role for whatever queued up meanwhile. Under N concurrent appenders
-// that turns N flushes/fsyncs into one (the classic group-commit
+// Concurrent appenders call Enqueue(), which only queues the record and
+// returns its monotonic LSN ticket. Durability is leader-driven: the first
+// WaitDurable caller whose LSN is not yet durable becomes the *leader* and
+// drains the queue inline on its own thread — one stdio write burst, one
+// Sync per batch — while followers sleep until their LSN is covered; when
+// the leader's batch completes, the next unsatisfied follower takes over
+// the leader role for whatever queued up meanwhile. Under N concurrent
+// appenders that turns N flushes/fsyncs into one (the classic group-commit
 // amortization, cf. realm-core's group writer); under ONE appender the
-// append-wait-drain path runs entirely on the caller's thread, so group
-// commit no longer pays the writer-thread handoff (two context switches
-// per append) that historically kept kFlush group commit behind plain
-// per-append flushing at low appender counts.
+// enqueue-wait-drain path runs entirely on the caller's thread, with no
+// cross-thread hand-off.
 //
-// A background thread still exists, but only as the drain of last resort
-// for records nobody waits on — fire-and-forget Enqueue()s (the cluster's
-// defer_wal_sync pipelining, the release record of a rolled-back claim).
-// It wakes only when the queue is non-empty and no waiter is present, so
-// it never races a leader for the log.
+// The writer starts no thread. Three callers drain the queue: a
+// WaitDurable leader, Truncate(), and the destructor. A record nobody
+// waits on (the release record of a rolled-back claim) is written with the
+// next batch a waiter leads, or by the next Truncate() or the destructor.
 //
 // Threading: Enqueue/WaitDurable/Append are safe from any thread. The
 // underlying WriteAheadLog is touched only while `writing_` is held (by
-// the current leader or the background thread) or under mu_ with a
-// drained queue (Truncate).
+// the draining thread) or under mu_ with a drained queue (Truncate).
 //
 // Failure model: an I/O error is sticky. The failing batch and every later
 // WaitDurable whose LSN is not yet durable return the error; already-durable
@@ -40,7 +36,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/json.h"
@@ -52,18 +47,20 @@ namespace adept {
 // Observer of locally durable batches, used to extend WaitDurable's
 // meaning from "on this disk" to "on a quorum" (repl/replication.h).
 //
-//   * OnDurableBatch runs on the draining thread (a leader or the
-//     background thread) right after the batch's Sync succeeded, with the
-//     writer mutex released but the drain token still held — batches are
-//     delivered one at a time, in LSN order. It must not block: hand the
-//     frames to a buffer and return (network I/O happens on peer threads).
+//   * OnDurableBatch runs on the committing thread (a WaitDurable leader,
+//     Truncate or the destructor) right after the batch's Sync succeeded,
+//     with the writer mutex released but the drain token still held —
+//     batches are delivered one at a time, in LSN order. It must not
+//     block: hand the frames to a buffer and return (network I/O happens
+//     on peer threads).
 //   * WaitRemote runs on the WaitDurable caller's thread with no writer
 //     lock held, only after the LSN is locally durable. Its error becomes
 //     the WaitDurable result (local durability is not undone).
 //
-// Lifetime: the hook must outlive every in-flight Enqueue/WaitDurable and
-// stay attached until the writer is idle; detach (SetCommitHook(nullptr))
-// only with no concurrent appenders, then destroy the hook.
+// Lifetime: the hook must outlive every in-flight Enqueue/WaitDurable;
+// detach (SetCommitHook(nullptr)) only with no concurrent appenders, then
+// destroy the hook. Records still queued at the detach reach the file
+// only; replication reads them from there (WriteAheadLog::ReadTail).
 class WalCommitHook {
  public:
   virtual ~WalCommitHook() = default;
@@ -84,22 +81,23 @@ struct WalWriterOptions {
 
 class WalWriter {
  public:
-  // Opens (creating or appending) the log at `path` and starts the writer
-  // thread. LSN numbering resumes from the existing frames. When the
-  // caller already parsed the log (recovery replays it first), pass that
-  // pass's WalScan as `prescan` so the file is not read a second time
-  // (WriteAheadLog::OpenScanned).
+  // Opens (creating or appending) the log at `path`. LSN numbering resumes
+  // from the existing frames. When the caller already parsed the log
+  // (recovery replays it first), pass that pass's WalScan as `prescan` so
+  // the file is not read a second time (WriteAheadLog::OpenScanned).
   static Result<std::unique_ptr<WalWriter>> Open(
       const std::string& path, const WalWriterOptions& options = {},
       const WalScan* prescan = nullptr);
 
-  // Drains every enqueued record, then stops and joins the writer thread.
+  // Writes every enqueued record (through the commit hook, if attached) and
+  // closes the log. No other call may run concurrently.
   ~WalWriter();
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  // Serializes `record`, enqueues it, and returns its LSN ticket. Never
-  // blocks on I/O; write/sync errors surface in WaitDurable.
+  // Serializes `record`, enqueues it, and returns its LSN ticket. Writes
+  // nothing: the record reaches the file with the next drain (see the
+  // header comment), and write/sync errors surface in WaitDurable.
   uint64_t Enqueue(const JsonValue& record);
 
   // Blocks until every record with an LSN <= `lsn` is durable per the
@@ -108,12 +106,13 @@ class WalWriter {
   // write+sync itself (see the header comment).
   Status WaitDurable(uint64_t lsn);
 
-  // Synchronous append: Enqueue + WaitDurable. Still benefits from group
-  // commit when other threads append concurrently.
+  // Synchronous append: WaitDurable(Enqueue(record)). Still benefits from
+  // group commit when other threads append concurrently.
   Status Append(const JsonValue& record);
 
-  // Checkpoint compaction: drains the queue, truncates the underlying log,
-  // and (on success) clears any sticky error. Contract: the caller must
+  // Checkpoint compaction: writes the queued records on the caller's thread
+  // (they still reach the commit hook), truncates the underlying log, and
+  // (on success) clears any sticky error. Contract: the caller must
   // (a) have persisted a snapshot covering last_enqueued_lsn() and
   // (b) exclude concurrent Enqueue/Append for the duration — a record
   // enqueued mid-truncation could be deleted while its waiter is told it
@@ -145,11 +144,11 @@ class WalWriter {
 
   // Takes one batch off the queue and writes+syncs it with mu_ released
   // (`lock` must hold mu_; writing_ is set for the duration). Runs on a
-  // leader's thread or the background thread.
+  // leader's, Truncate's or the destructor's thread.
   void DrainBatchLocked(std::unique_lock<std::mutex>& lock);
-  // The leader/follower wait loop; `lock` must hold mu_.
-  Status WaitDurableLocked(uint64_t lsn, std::unique_lock<std::mutex>& lock);
-  void WriterLoop();
+  // Waits out a batch in flight and drains the queue until it is empty;
+  // `lock` must hold mu_. Truncate and the destructor run it.
+  void DrainQueueLocked(std::unique_lock<std::mutex>& lock);
 
   const std::string path_;
   const WalWriterOptions options_;
@@ -158,18 +157,13 @@ class WalWriter {
   std::unique_ptr<WriteAheadLog> log_;
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;     // wakes the background thread
-  std::condition_variable durable_cv_;  // wakes WaitDurable/Truncate callers
+  std::condition_variable durable_cv_;  // signalled after every batch
   std::deque<Pending> queue_;           // guarded by mu_
   uint64_t next_lsn_ = 0;               // guarded by mu_; last ticket issued
   uint64_t durable_lsn_ = 0;            // guarded by mu_
   WalCommitHook* hook_ = nullptr;       // guarded by mu_ (pointer itself)
   Status error_;                        // guarded by mu_; sticky
-  size_t waiters_ = 0;                  // guarded by mu_; WaitDurable callers
   bool writing_ = false;                // guarded by mu_; batch in flight
-  bool stopping_ = false;               // guarded by mu_
-  bool stopped_ = false;                // guarded by mu_; loop exited
-  std::thread writer_;
 };
 
 }  // namespace adept

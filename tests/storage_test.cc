@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <mutex>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "change/change_op.h"
 #include "change/delta.h"
@@ -1083,24 +1088,158 @@ TEST(WalWriterTest, ConcurrentAppendersAllLsnsDurableAndReplayable) {
   std::remove(path.c_str());
 }
 
+// Records every batch the writer delivers: its LSNs, the delivering
+// thread, and (when `path` is set) how many records the file held then.
+class RecordingHook : public WalCommitHook {
+ public:
+  struct Batch {
+    std::vector<uint64_t> lsns;
+    std::thread::id thread;
+    size_t on_disk = 0;
+  };
+
+  explicit RecordingHook(std::string path = "") : path_(std::move(path)) {}
+
+  void OnDurableBatch(const std::vector<WalFrame>& frames) override {
+    Batch batch{{}, std::this_thread::get_id(), 0};
+    for (const WalFrame& frame : frames) batch.lsns.push_back(frame.lsn);
+    if (!path_.empty()) {
+      auto records = WriteAheadLog::ReadRecords(path_);
+      if (records.ok()) batch.on_disk = records->size();
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    batches_.push_back(std::move(batch));
+  }
+  Status WaitRemote(uint64_t) override { return Status::OK(); }
+
+  std::vector<Batch> batches() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return batches_;
+  }
+  // Every delivered LSN, in delivery order.
+  std::vector<uint64_t> delivered() const {
+    std::vector<uint64_t> all;
+    for (const Batch& batch : batches()) {
+      all.insert(all.end(), batch.lsns.begin(), batch.lsns.end());
+    }
+    return all;
+  }
+
+ private:
+  const std::string path_;
+  mutable std::mutex mu_;
+  std::vector<Batch> batches_;
+};
+
 TEST(WalWriterTest, TruncateDrainsAndContinuesLsns) {
   std::string path = TempPath("adept_walwriter_trunc.log");
   std::remove(path.c_str());
+  RecordingHook hook(path);
   auto writer = WalWriter::Open(path, {});
   ASSERT_TRUE(writer.ok());
+  (*writer)->SetCommitHook(&hook);
   for (int i = 0; i < 5; ++i) {
     (*writer)->Enqueue(JsonValue::MakeObject());
   }
   ASSERT_TRUE((*writer)->Truncate().ok());
   EXPECT_EQ((*writer)->durable_lsn(), 5u);
+  // Nobody waited for the five records, yet the checkpoint wrote them
+  // through the hook (the standbys' stream) before emptying the file.
+  EXPECT_EQ(hook.delivered(), (std::vector<uint64_t>{1, 2, 3, 4, 5}));
+  ASSERT_FALSE(hook.batches().empty());
+  EXPECT_EQ(hook.batches().back().on_disk, 5u);
   JsonValue record = JsonValue::MakeObject();
   record.Set("post", JsonValue(true));
   ASSERT_TRUE((*writer)->Append(record).ok());
+  EXPECT_EQ(hook.delivered(), (std::vector<uint64_t>{1, 2, 3, 4, 5, 6}));
   auto records = WriteAheadLog::ReadRecords(path);
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 1u);
   EXPECT_EQ((*records)[0].lsn, 6u);
   EXPECT_TRUE((*records)[0].value.Get("post").as_bool());
+  (*writer)->SetCommitHook(nullptr);
+  std::remove(path.c_str());
+}
+
+#ifdef __linux__
+size_t ThreadCount() {
+  size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+#endif
+
+// One drain path: the thread that waits writes the batch, so opening a
+// writer and committing through it starts no thread.
+TEST(WalWriterTest, StartsNoThread) {
+#ifndef __linux__
+  GTEST_SKIP() << "counts threads through /proc/self/task";
+#else
+  std::string path = TempPath("adept_walwriter_threads.log");
+  std::remove(path.c_str());
+  const size_t before = ThreadCount();
+  {
+    auto writer = WalWriter::Open(path, {});
+    ASSERT_TRUE(writer.ok());
+    const size_t opened = ThreadCount();
+    ASSERT_TRUE(
+        (*writer)->WaitDurable((*writer)->Enqueue(JsonValue::MakeObject()))
+            .ok());
+    const size_t committed = ThreadCount();
+    EXPECT_EQ(opened, before);
+    EXPECT_EQ(committed, before);
+  }
+  std::remove(path.c_str());
+#endif
+}
+
+// A record nobody waits for rides the next commit: the waiter for B
+// writes A and B as one batch on its own thread.
+TEST(WalWriterTest, UnwaitedRecordsRideTheNextCommit) {
+  std::string path = TempPath("adept_walwriter_ride.log");
+  std::remove(path.c_str());
+  RecordingHook hook;
+  {
+    auto writer = WalWriter::Open(path, {});
+    ASSERT_TRUE(writer.ok());
+    (*writer)->SetCommitHook(&hook);
+    const uint64_t a = (*writer)->Enqueue(JsonValue::MakeObject());
+    // Room for a drain on some other thread to write A on its own.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const uint64_t b = (*writer)->Enqueue(JsonValue::MakeObject());
+    ASSERT_TRUE((*writer)->WaitDurable(b).ok());
+    const std::vector<RecordingHook::Batch> batches = hook.batches();
+    ASSERT_EQ(batches.size(), 1u);
+    EXPECT_EQ(batches[0].lsns, (std::vector<uint64_t>{a, b}));
+    EXPECT_EQ(batches[0].thread, std::this_thread::get_id());
+    (*writer)->SetCommitHook(nullptr);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(WalWriterTest, CloseWritesUnwaitedRecords) {
+  std::string path = TempPath("adept_walwriter_close.log");
+  std::remove(path.c_str());
+  {
+    auto writer = WalWriter::Open(path, {});
+    ASSERT_TRUE(writer.ok());
+    for (int i = 0; i < 3; ++i) {
+      JsonValue record = JsonValue::MakeObject();
+      record.Set("k", JsonValue(i));
+      (*writer)->Enqueue(record);
+    }
+  }
+  auto records = WriteAheadLog::ReadRecords(path);
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ((*records)[i].lsn, static_cast<uint64_t>(i + 1));
+    EXPECT_EQ((*records)[i].value.Get("k").as_int(), i);
+  }
   std::remove(path.c_str());
 }
 
